@@ -6,9 +6,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -243,13 +241,7 @@ def _scan_point(n: int, token, tol: float, max_iter: int) -> dict:
 def _cmd_scan_k(args) -> int:
     n_list = _parse_int_list(args.n)
     d_list = _parse_d_list(args.d)
-    points = [(n, token) for n in n_list for token in d_list]
-    threads = max(1, int(os.environ.get("WIGMOL_THREADS", "1") or "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda p: _scan_point(p[0], p[1], args.tol, args.max_iter), points))
-    else:
-        rows = [_scan_point(n, token, args.tol, args.max_iter) for n, token in points]
+    rows = [_scan_point(n, token, args.tol, args.max_iter) for n in n_list for token in d_list]
     _emit(rows, ["n", "d", "K", "delta_K"], args)
     return 0
 

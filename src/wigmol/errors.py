@@ -30,7 +30,11 @@ class InvalidScale(WigmolError):
 
 
 class SingularBlock(WigmolError):
-    """A sub-block of the wavepacket precision matrix is numerically singular."""
+    """A site's marginal of the wavepacket precision matrix gives no valid kernel.
+
+    Raised when b falls outside (0, 2a), for instance when the site has no
+    coupling to the others that survives roundoff.
+    """
 
 
 class DimensionTooLarge(WigmolError):

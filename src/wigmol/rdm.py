@@ -6,10 +6,14 @@ kernel to the one-body reduced density matrix,
     rho_i(x, x') = A * exp(-a*(u**2 + u'**2) + b*u*u'),   u = x - center_i,
 
 obtained by integrating the ground-state wavepacket over every other
-coordinate.  With m the on-site entry of the wavepacket precision matrix
-M, r the coupling column and w = r.T @ inv(M_rest) @ r the Schur weight,
-the marginalization gives a = m/2 - w/4 and b = w/2, while A follows from
-the per-site trace 1/N.
+coordinate.  With M = U.T @ diag(v) @ U the wavepacket precision matrix,
+the marginalization gives 2a + b = M_ii and 2a - b = 1/inv(M)_ii, while A
+follows from the per-site trace 1/N.  Both diagonals are weighted column
+sums of U**2, diag M = v @ U**2 and diag inv(M) = (1/v) @ U**2, so every
+site follows in O(N**2) from the normal modes with no linear solve.
+Reflection symmetry makes sites i and N - i + 1 equivalent; the kernel set
+averages each diagonal with its reverse so mirror sites come out bitwise
+identical.
 
 Such a kernel diagonalizes in closed form: its eigenfunctions are
 Hermite-Gaussian orbitals of width parameter eta = sqrt(4a**2 - b**2)
@@ -31,7 +35,7 @@ import numpy as np
 
 from .equilibrium import Configuration
 from .errors import SingularBlock
-from .modes import NormalModes, ground_state_precision
+from .modes import NormalModes
 
 DEFAULT_TAIL_TOL = 1e-12
 _LADDER_CAP = 200_000
@@ -55,8 +59,34 @@ class SiteKernel:
         return self.eta**-0.5
 
 
+def _kernel_parameters(diag_m: np.ndarray, diag_m_inv: np.ndarray, n: int, first_site: int):
+    """Kernel (A, a, b, eta, y) arrays from the diagonals of M and inv(M).
+
+    Entry k belongs to site ``first_site + k``.  The coupling
+    b = (M_ii - 1/inv(M)_ii) / 2 is a difference that carries roundoff of
+    order N * eps * M_ii; a b inside that floor is no resolved coupling, so
+    it raises like a non-positive one.
+    """
+    with np.errstate(divide="ignore"):
+        diff_term = 1.0 / diag_m_inv  # 2a - b; diag_m is 2a + b
+    a = 0.25 * (diag_m + diff_term)
+    b = 0.5 * (diag_m - diff_term)
+    bad = ~((diag_m_inv > 0.0) & (b > n * np.finfo(float).eps * diag_m) & (b < 2.0 * a))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularBlock(f"kernel parameters out of range for site {first_site + k}: a={a[k]:g}, b={b[k]:g}")
+    amplitude = np.sqrt(diff_term / np.pi) / n
+    sum_root = np.sqrt(diag_m)
+    diff_root = np.sqrt(diff_term)
+    eta = sum_root * diff_root
+    y = (sum_root - diff_root) / (sum_root + diff_root)
+    return amplitude, a, b, eta, y
+
+
 def site_kernel(modes: NormalModes, config: Configuration, site: int) -> SiteKernel:
     """Marginalize the ground-state wavepacket down to one site.
+
+    Reads only column ``site`` of the mode matrix, so it costs O(N).
 
     Parameters
     ----------
@@ -70,56 +100,42 @@ def site_kernel(modes: NormalModes, config: Configuration, site: int) -> SiteKer
     Raises
     ------
     SingularBlock
-        If the off-site block of the precision matrix cannot be inverted.
+        If the site has no resolvable coupling to the rest (b not in (0, 2a)).
     """
     n = config.n_particles
     if not 1 <= site <= n:
         raise ValueError(f"site must lie in 1..{n}")
-    precision = ground_state_precision(modes)
     idx = site - 1
-    rest = [j for j in range(n) if j != idx]
-    on_site = precision[idx, idx]
-    column = precision[rest, idx]
-    block = precision[np.ix_(rest, rest)]
-    try:
-        schur_weight = float(column @ np.linalg.solve(block, column))
-    except np.linalg.LinAlgError:
-        raise SingularBlock(f"off-site precision block is singular for site {site}")
-    a = 0.5 * on_site - 0.25 * schur_weight
-    b = 0.5 * schur_weight
-    if not (0.0 < b < 2.0 * a):
-        raise SingularBlock(f"kernel parameters out of range for site {site}: a={a:g}, b={b:g}")
-    amplitude = np.sqrt((2.0 * a - b) / np.pi) / n
-    sum_root = np.sqrt(2.0 * a + b)
-    diff_root = np.sqrt(2.0 * a - b)
-    eta = sum_root * diff_root
-    y = (sum_root - diff_root) / (sum_root + diff_root)
-    return SiteKernel(site, float(config.positions[idx]), float(amplitude), float(a), float(b), float(eta), float(y))
+    weights = modes.mode_matrix[:, idx : idx + 1] ** 2
+    freqs = modes.frequencies
+    params = _kernel_parameters(freqs @ weights, (1.0 / freqs) @ weights, n, site)
+    amplitude, a, b, eta, y = (float(p[0]) for p in params)
+    return SiteKernel(site, float(config.positions[idx]), amplitude, a, b, eta, y)
 
 
 def all_site_kernels(modes: NormalModes, config: Configuration) -> tuple[SiteKernel, ...]:
-    """Kernels for every site, computing each mirror pair once.
+    """Kernels for every site from two weighted column sums of the modes.
 
-    Reflection symmetry ties site i to site N - i + 1 with identical
-    (A, a, b) and negated center, so only the left half is marginalized.
+    Each diagonal is averaged with its reverse, which changes it only by
+    roundoff for the reflection-symmetric modes of a solved chain, so
+    mirror sites i and N - i + 1 carry bitwise identical (A, a, b, eta, y).
+
+    Raises
+    ------
+    SingularBlock
+        Naming the first site whose b falls outside (0, 2a).
     """
     n = config.n_particles
-    left = [site_kernel(modes, config, i + 1) for i in range((n + 1) // 2)]
-    kernels = list(left)
-    for idx in range((n + 1) // 2, n):
-        partner = left[n - 1 - idx]
-        kernels.append(
-            SiteKernel(
-                idx + 1,
-                float(config.positions[idx]),
-                partner.amplitude,
-                partner.a,
-                partner.b,
-                partner.eta,
-                partner.y,
-            )
-        )
-    return tuple(kernels)
+    weights = modes.mode_matrix**2
+    freqs = modes.frequencies
+    diag_m = freqs @ weights
+    diag_m_inv = (1.0 / freqs) @ weights
+    diag_m = 0.5 * (diag_m + diag_m[::-1])
+    diag_m_inv = 0.5 * (diag_m_inv + diag_m_inv[::-1])
+    params = _kernel_parameters(diag_m, diag_m_inv, n, 1)
+    return tuple(
+        SiteKernel(idx + 1, float(config.positions[idx]), *(float(p[idx]) for p in params)) for idx in range(n)
+    )
 
 
 def kernel_value(kernel: SiteKernel, x, x_prime) -> np.ndarray:
@@ -228,17 +244,13 @@ def _ladder(kernel: SiteKernel, tail_tol: float) -> tuple[np.ndarray, float]:
 def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> OccupancySpectrum:
     """Assemble the occupancy spectrum of a full kernel set.
 
-    The purity is accumulated in closed form from mirror pairs (plus the
-    unpaired middle site for odd N); the ladders are truncated per site by
-    the analytic geometric tail.
+    The purity is summed in closed form over the sites; the ladders are
+    truncated per site by the analytic geometric tail.
     """
     kernels = tuple(kernels)
     n = len(kernels)
     ladders, tails = zip(*(_ladder(k, tail_tol) for k in kernels))
-    half = n // 2
-    purity = 2.0 * sum(site_purity(k) for k in kernels[:half])
-    if n % 2:
-        purity += site_purity(kernels[half])
+    purity = sum(site_purity(k) for k in kernels)
     degree = 1.0 / purity
     return OccupancySpectrum(ladders, np.array(tails), purity, degree, (degree - n) / n)
 

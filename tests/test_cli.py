@@ -46,14 +46,6 @@ def test_csv_is_deterministic_and_newline_terminated(capsys):
     assert "\r" not in first
 
 
-def test_threaded_scan_matches_serial(capsys, monkeypatch):
-    argv = ["scan-k", "--n", "2..6", "--d", "log,1,2"]
-    _, serial, _ = run(argv, capsys)
-    monkeypatch.setenv("WIGMOL_THREADS", "4")
-    _, threaded, _ = run(argv, capsys)
-    assert serial == threaded
-
-
 def test_floats_carry_full_precision(capsys):
     _, out, _ = run(["scan-k", "--n", "2", "--d", "2"], capsys)
     _, rows = parse_csv(out)

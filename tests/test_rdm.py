@@ -4,8 +4,11 @@ from numpy.testing import assert_allclose
 
 from conftest import kernel_set, solved
 from wigmol import (
+    NormalModes,
     SiteKernel,
+    all_site_kernels,
     compute_modes,
+    ground_state_precision,
     kernel_value,
     leading_occupancy,
     natural_orbital,
@@ -16,6 +19,7 @@ from wigmol import (
     site_kernel,
     site_purity,
 )
+from wigmol.errors import SingularBlock
 
 
 def _grid(kernel, half_widths=10.0, points=4001):
@@ -57,6 +61,58 @@ def test_mirror_symmetry_of_directly_built_kernels(token, n):
         assert_allclose(left.a, right.a, atol=1e-10)
         assert_allclose(left.b, right.b, atol=1e-10)
         assert_allclose(left.center, -right.center, atol=1e-10)
+
+
+def _schur_reference(modes, n):
+    """(A, a, b, eta, y) per site from one Schur-complement solve per site."""
+    precision = ground_state_precision(modes)
+    rows = []
+    for idx in range(n):
+        rest = [j for j in range(n) if j != idx]
+        column = precision[rest, idx]
+        block = precision[np.ix_(rest, rest)]
+        schur_weight = column @ np.linalg.solve(block, column)
+        a = 0.5 * precision[idx, idx] - 0.25 * schur_weight
+        b = 0.5 * schur_weight
+        sum_root, diff_root = np.sqrt(2 * a + b), np.sqrt(2 * a - b)
+        amplitude = diff_root / np.sqrt(np.pi) / n
+        rows.append((amplitude, a, b, sum_root * diff_root, (sum_root - diff_root) / (sum_root + diff_root)))
+    return np.array(rows)
+
+
+def _parameters(kernel):
+    return (kernel.amplitude, kernel.a, kernel.b, kernel.eta, kernel.y)
+
+
+@pytest.mark.parametrize("token", ["log", 0.5, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 40, 150])
+def test_closed_form_kernels_match_schur_solve(token, n):
+    # the default tolerance sits below the gradient's floating-point floor at N = 150, d = 2
+    spec, config = solved(n, token, 1e-12 if n <= 40 else 1e-11)
+    modes = compute_modes(spec, config)
+    reference = _schur_reference(modes, n)
+    kernels = all_site_kernels(modes, config)
+    assert_allclose([_parameters(k) for k in kernels], reference, rtol=1e-11, atol=0)
+    direct = [site_kernel(modes, config, site) for site in range(1, n + 1)]
+    assert_allclose([_parameters(k) for k in direct], reference, rtol=1e-11, atol=0)
+    for i in range(n):
+        assert _parameters(kernels[i]) == _parameters(kernels[n - 1 - i])
+        assert kernels[i].center == config.positions[i]
+
+
+def test_uncoupled_sites_raise_singular_block():
+    # identity modes leave every site uncoupled, so b = 0 and no kernel exists;
+    # the frequencies are mirror symmetric like those of a solved chain, and
+    # 1/(1/v) - v is -1 ulp at 0.9 and +1 ulp at 1.9, so b comes out as a
+    # roundoff-sized positive number at the outer sites and negative in the middle
+    n = 3
+    modes = NormalModes(np.array([0.9, 1.9, 0.9]), np.eye(n))
+    _, config = solved(n, 1.0)
+    with pytest.raises(SingularBlock, match="site 1"):
+        all_site_kernels(modes, config)
+    for site in range(1, n + 1):
+        with pytest.raises(SingularBlock, match=f"site {site}"):
+            site_kernel(modes, config, site)
 
 
 def test_site_index_validation():
