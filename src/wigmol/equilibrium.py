@@ -58,10 +58,17 @@ def _ordered(pos: np.ndarray) -> bool:
     return bool(np.all(np.diff(pos) > 0.0))
 
 
+def _hermite_zeros(n: int) -> np.ndarray:
+    # eigenvalues of the Jacobi matrix of the Hermite recurrence (Golub-Welsch)
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+
+
 def _initial_guess(spec: SystemSpec) -> np.ndarray:
-    lattice = lattice_guess(spec.n_particles).positions
     if spec.interaction.is_log_limit:
-        return lattice * np.sqrt(2.0)
+        # the log-limit minimum is exactly the zeros of H_N (Stieltjes)
+        return _symmetrized(_hermite_zeros(spec.n_particles))
+    lattice = lattice_guess(spec.n_particles).positions
     d = spec.interaction.d
     # (2d)**(1/(2+d)) is the exact two-particle separation
     return lattice * (2.0 * d) ** (1.0 / (2.0 + d))
@@ -74,17 +81,23 @@ def _newton_hessian(spec: SystemSpec, pos: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _descend(spec: SystemSpec, pos: np.ndarray, step: np.ndarray, grad_norm: float) -> np.ndarray:
-    """Backtracking step: accept once the value or the gradient norm drops."""
-    value = potential_value(spec, pos)
+def _descend(
+    spec: SystemSpec, pos: np.ndarray, value: float, step: np.ndarray, grad_norm: float
+) -> tuple[np.ndarray, float]:
+    """Backtracking step: accept once the value or the gradient norm drops.
+
+    ``value`` is the landscape value at ``pos``; the accepted candidate is
+    returned with its own value, so the next step need not recompute it.
+    """
     scale = 1.0
     for _ in range(60):
         candidate = _symmetrized(pos + scale * step)
         if _ordered(candidate):
-            if potential_value(spec, candidate) < value:
-                return candidate
+            candidate_value = potential_value(spec, candidate)
+            if candidate_value < value:
+                return candidate, candidate_value
             if np.max(np.abs(potential_gradient(spec, candidate))) < grad_norm:
-                return candidate
+                return candidate, candidate_value
         scale *= 0.5
     raise NoConvergence("Newton line search found no acceptable step")
 
@@ -120,7 +133,10 @@ def solve_equilibrium(
     max_iter : int
         Newton iteration budget.
     initial_positions : array_like, optional
-        Starting point override; defaults to the rescaled unit lattice.
+        Starting point override.  The default is the zeros of the Hermite
+        polynomial H_N for the log limit, which are its exact minimum, and
+        the unit lattice scaled to the exact two-particle separation for a
+        power law.
 
     Raises
     ------
@@ -136,6 +152,7 @@ def solve_equilibrium(
     else:
         pos = _symmetrized(np.asarray(initial_positions, dtype=float))
     kind = ALPHA if spec.interaction.is_log_limit else BETA
+    value = None
     for _ in range(max_iter):
         grad = potential_gradient(spec, pos)
         residual = float(np.max(np.abs(grad)))
@@ -143,7 +160,9 @@ def solve_equilibrium(
             _check_minimum(spec, pos)
             return Configuration(pos, kind, residual)
         step = np.linalg.solve(_newton_hessian(spec, pos), -grad)
-        pos = _descend(spec, pos, step, residual)
+        if value is None:
+            value = potential_value(spec, pos)
+        pos, value = _descend(spec, pos, value, step, residual)
     raise NoConvergence(f"gradient max-norm still above {tol:g} after {max_iter} Newton iterations")
 
 

@@ -42,11 +42,8 @@ class NormalModes:
 
 def _fix_signs(rows: np.ndarray) -> np.ndarray:
     # largest-magnitude entry of every mode vector made positive, for reproducibility
-    out = rows.copy()
-    for i, row in enumerate(out):
-        if row[np.argmax(np.abs(row))] < 0:
-            out[i] = -row
-    return out
+    peak = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
+    return np.where((peak < 0)[:, None], -rows, rows)
 
 
 def _order_degenerate(freqs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -91,11 +91,10 @@ def _checked_positions(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndar
     n = spec.n_particles
     if pos.shape != (n,):
         raise ValueError(f"expected {n} positions, got shape {pos.shape}")
-    diff = pos[:, None] - pos[None, :]
-    off_diag = ~np.eye(n, dtype=bool)
-    if np.any(diff[off_diag] == 0.0):
+    ordered = np.sort(pos)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise CoincidentPositions("two particles share the same position")
-    return pos, diff
+    return pos, pos[:, None] - pos[None, :]
 
 
 def _reject_hard_core(spec: SystemSpec):
@@ -122,7 +121,8 @@ def potential_value(spec: SystemSpec, positions) -> float:
     """
     _reject_hard_core(spec)
     pos, diff = _checked_positions(spec, positions)
-    sep = np.abs(diff[np.triu_indices(spec.n_particles, k=1)])
+    # ~tri keeps the row-major pair order of triu_indices(n, k=1)
+    sep = np.abs(diff[~np.tri(spec.n_particles, dtype=bool)])
     if spec.interaction.is_log_limit:
         return float(np.sum(pos**2) - np.sum(np.log(sep**2)))
     return float(0.5 * np.sum(pos**2) + np.sum(sep ** (-spec.interaction.d)))
@@ -136,15 +136,14 @@ def potential_gradient(spec: SystemSpec, positions) -> np.ndarray:
     """
     _reject_hard_core(spec)
     pos, diff = _checked_positions(spec, positions)
-    n = spec.n_particles
-    eye = np.eye(n, dtype=bool)
     if spec.interaction.is_log_limit:
-        inv = np.zeros_like(diff)
-        inv[~eye] = 1.0 / diff[~eye]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
         return 2.0 * pos - 2.0 * inv.sum(axis=1)
     d = spec.interaction.d
     sep = np.abs(diff)
-    sep[eye] = 1.0
+    np.fill_diagonal(sep, 1.0)
     slope = np.sign(diff) * sep ** (-d - 1.0)
     return pos - d * slope.sum(axis=1)
 
@@ -160,16 +159,14 @@ def potential_hessian(spec: SystemSpec, positions) -> np.ndarray:
     """
     _reject_hard_core(spec)
     _, diff = _checked_positions(spec, positions)
-    n = spec.n_particles
-    eye = np.eye(n, dtype=bool)
     sep = np.abs(diff)
-    sep[eye] = 1.0
+    np.fill_diagonal(sep, 1.0)
     if spec.interaction.is_log_limit:
         coupling = sep**-2.0
     else:
         d = spec.interaction.d
         coupling = d * (d + 1.0) * sep ** (-d - 2.0)
-    coupling[eye] = 0.0
+    np.fill_diagonal(coupling, 0.0)
     hess = -coupling
-    hess[np.diag_indices(n)] = 1.0 + coupling.sum(axis=1)
+    np.fill_diagonal(hess, 1.0 + coupling.sum(axis=1))
     return hess

@@ -133,9 +133,8 @@ def all_site_kernels(modes: NormalModes, config: Configuration) -> tuple[SiteKer
     diag_m = 0.5 * (diag_m + diag_m[::-1])
     diag_m_inv = 0.5 * (diag_m_inv + diag_m_inv[::-1])
     params = _kernel_parameters(diag_m, diag_m_inv, n, 1)
-    return tuple(
-        SiteKernel(idx + 1, float(config.positions[idx]), *(float(p[idx]) for p in params)) for idx in range(n)
-    )
+    rows = np.column_stack((config.positions, *params)).tolist()
+    return tuple(SiteKernel(site, *row) for site, row in enumerate(rows, start=1))
 
 
 def kernel_value(kernel: SiteKernel, x, x_prime) -> np.ndarray:
@@ -224,35 +223,33 @@ class OccupancySpectrum:
         return float(np.sum(self.tail_bounds))
 
 
-def _ladder(kernel: SiteKernel, tail_tol: float) -> tuple[np.ndarray, float]:
-    lam0 = leading_occupancy(kernel)
-    y = kernel.y
-    # smallest l_max with lam0 * y**(l_max + 1) / (1 - y) below tail_tol
-    target = tail_tol * (1.0 - y) / lam0
-    if y**1 < target:
-        l_max = 0
-    else:
-        l_max = min(int(np.ceil(np.log(target) / np.log(y))) - 1, _LADDER_CAP)
-        l_max = max(l_max, 0)
-    # seeding the cumulative product with lam0 keeps every rung exactly
-    # the previous one times y, even in floating point
-    ladder = np.cumprod(np.concatenate(([lam0], np.full(l_max, y))))
-    tail = float(ladder[-1] * y / (1.0 - y))
-    return ladder, tail
-
-
 def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> OccupancySpectrum:
     """Assemble the occupancy spectrum of a full kernel set.
 
-    The purity is summed in closed form over the sites; the ladders are
-    truncated per site by the analytic geometric tail.
+    The purity is summed in closed form over the sites; each ladder is
+    truncated at the smallest l_max whose analytic geometric tail
+    lambda_0 * y**(l_max + 1) / (1 - y) drops below ``tail_tol``, capped
+    at ``_LADDER_CAP`` rungs.
     """
     kernels = tuple(kernels)
     n = len(kernels)
-    ladders, tails = zip(*(_ladder(k, tail_tol) for k in kernels))
+    amplitude, eta, y = np.array([(k.amplitude, k.eta, k.y) for k in kernels]).T
+    lam0 = amplitude * np.sqrt(np.pi * (1.0 - y**2) / eta)
+    target = tail_tol * (1.0 - y) / lam0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rungs = np.ceil(np.log(target) / np.log(y)) - 1.0
+    l_max = np.where(y < target, 0, np.clip(rungs, 0, _LADDER_CAP)).astype(int)
+    # every ladder is lam0 followed by l_max copies of y; seeding the
+    # cumulative product with lam0 keeps every rung exactly the previous
+    # one times y, even in floating point
+    factors = np.repeat(y, l_max + 1)
+    starts = np.cumsum(l_max + 1) - (l_max + 1)
+    factors[starts] = lam0
+    ladders = tuple(np.cumprod(seg) for seg in np.split(factors, starts[1:]))
+    tails = np.array([ladder[-1] for ladder in ladders]) * y / (1.0 - y)
     purity = sum(site_purity(k) for k in kernels)
     degree = 1.0 / purity
-    return OccupancySpectrum(ladders, np.array(tails), purity, degree, (degree - n) / n)
+    return OccupancySpectrum(ladders, tails, purity, degree, (degree - n) / n)
 
 
 def rank_n_density_approximation(kernels, spectrum: OccupancySpectrum, x) -> np.ndarray:

@@ -6,6 +6,7 @@ from conftest import interaction_for, solved
 from wigmol import (
     Interaction,
     SystemSpec,
+    compute_modes,
     lattice_guess,
     physical_centers,
     potential_value,
@@ -108,6 +109,23 @@ def test_no_convergence_raises():
     spec = SystemSpec(6, Interaction.power_law(6.0))
     with pytest.raises(NoConvergence):
         solve_equilibrium(spec, max_iter=1)
+
+
+# The log-limit minimum is exactly the zeros of H_N (Stieltjes 1885) and its
+# squared mode frequencies are exactly 1..N (Calogero 1977).  N >= 500 is left
+# out because the default tol sits below the floating-point floor there:
+# the solve raises NoConvergence from every start, so the N = 1000 oracle
+# waits for a scale-aware stopping rule.
+@pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 250, 400])
+def test_log_limit_is_hermite_zeros(n):
+    spec = SystemSpec(n, Interaction.log_limit())
+    # the start is the closed form, so two iterations leave room for one polish step
+    config = solve_equilibrium(spec, max_iter=2)
+    with np.errstate(all="ignore"):  # the quadrature weights overflow at large n
+        zeros, _ = np.polynomial.hermite.hermgauss(n)
+    assert_allclose(config.positions, zeros, rtol=0.0, atol=1e-12)
+    squared = compute_modes(spec, config).frequencies ** 2
+    assert_allclose(squared, np.arange(1.0, n + 1.0), rtol=1e-10)
 
 
 def test_physical_centers_power_law():

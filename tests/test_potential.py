@@ -40,6 +40,15 @@ def test_coincident_positions_rejected():
         potential_gradient(spec, [0.3, 0.3])
 
 
+@pytest.mark.parametrize("token", [1.0, "log"])
+@pytest.mark.parametrize("positions", [[0.3, -1.0, 0.3], [1.0, 0.2, -0.5, 0.2]])
+def test_unsorted_coincident_positions_rejected(token, positions):
+    spec = SystemSpec(len(positions), interaction_for(token))
+    for func in (potential_value, potential_gradient, potential_hessian):
+        with pytest.raises(CoincidentPositions):
+            func(spec, positions)
+
+
 def test_hard_core_rejected_everywhere():
     spec = SystemSpec(2, Interaction.hard_core())
     for func in (potential_value, potential_gradient, potential_hessian):
