@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import equilibrium, modes, observables, oracle, rdm
+from . import equilibrium, modes, observables, rdm, verification
 from .errors import (
     DegenerateHessian,
     InfiniteDegeneracy,
@@ -18,7 +18,7 @@ from .errors import (
     NoConvergence,
     UnsupportedLimit,
 )
-from .potential import Interaction, SystemSpec, potential_gradient, potential_hessian, potential_value
+from .potential import Interaction, SystemSpec
 
 LOG_TOKEN = "log"
 INF_TOKEN = "inf"
@@ -58,6 +58,8 @@ def _parse_real_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise _BadRequest(f"grids use start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(np.isfinite((start, stop, step))):
+        raise _BadRequest(f"grid bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise _BadRequest(f"bad grid bounds in {text!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -97,14 +99,6 @@ def _single(values, label):
     if len(values) != 1:
         raise _BadRequest(f"this command takes exactly one {label}")
     return values[0]
-
-
-def _interaction(token) -> Interaction:
-    if token == LOG_TOKEN:
-        return Interaction.log_limit()
-    if token == INF_TOKEN:
-        return Interaction.hard_core()
-    return Interaction.power_law(float(token))
 
 
 def _d_token(token) -> str:
@@ -157,7 +151,7 @@ def _emit(rows: list[dict], columns: list[str], args) -> None:
 
 
 def _solve(n: int, token, tol: float, max_iter: int):
-    spec = SystemSpec(n, _interaction(token))
+    spec = SystemSpec(n, Interaction.from_token(token))
     config = equilibrium.solve_equilibrium(spec, tol=tol, max_iter=max_iter)
     return spec, config
 
@@ -253,8 +247,6 @@ def _cmd_density(args) -> int:
     if token == INF_TOKEN:
         profile = observables.hardcore_density(n, x_grid)
     else:
-        if args.g is not None and args.spacing is not None:
-            raise _BadRequest("give either --g or --spacing, not both")
         spec, _, _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
         profile = observables.density_profile(
             kernels, spec, x_grid, g=args.g, spacing=args.spacing, d_aux=args.d_aux
@@ -277,115 +269,20 @@ def _cmd_momentum(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suite
-
-
-def _verify_derivatives(variants, rng) -> list[tuple[str, bool, str]]:
-    results = []
-    for label, interaction in variants:
-        worst_grad = 0.0
-        worst_hess = 0.0
-        for _ in range(100):
-            n = int(rng.integers(2, 7))
-            spec = SystemSpec(n, interaction)
-            pos = oracle.random_admissible_positions(rng, n)
-            grad = potential_gradient(spec, pos)
-            grad_fd = oracle.fd_gradient(lambda p: potential_value(spec, p), pos)
-            worst_grad = max(worst_grad, np.max(np.abs(grad - grad_fd)) / max(1.0, np.max(np.abs(grad))))
-            hess = potential_hessian(spec, pos)
-            hess_fd = oracle.fd_jacobian(lambda p: potential_gradient(spec, p), pos)
-            if interaction.is_log_limit:
-                hess_fd = 0.5 * hess_fd
-            worst_hess = max(worst_hess, np.max(np.abs(hess - hess_fd)) / max(1.0, np.max(np.abs(hess))))
-        results.append((f"gradient vs finite differences [{label}]", worst_grad <= 1e-6, f"max rel {worst_grad:.2e}"))
-        results.append((f"hessian vs finite differences [{label}]", worst_hess <= 1e-5, f"max rel {worst_hess:.2e}"))
-    return results
-
-
-def _verify_kernels() -> list[tuple[str, bool, str]]:
-    results = []
-    for n, d in [(2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)]:
-        spec, config = _solve(n, d, 1e-12, 200)
-        normal_modes = modes.compute_modes(spec, config)
-        kernels = rdm.all_site_kernels(normal_modes, config)
-        worst = 0.0
-        for kernel in kernels:
-            grid = np.linspace(kernel.center - 3 * kernel.width, kernel.center + 3 * kernel.width, 9)
-            for x in grid:
-                for xp in grid:
-                    direct = oracle.quadrature_kernel(normal_modes, config, kernel.site, x, xp)
-                    worst = max(worst, abs(direct - float(rdm.kernel_value(kernel, x, xp))))
-        results.append((f"kernel quadrature N={n} d={d:g}", worst <= 1e-6, f"max abs {worst:.2e}"))
-
-        worst_nystrom = 0.0
-        for kernel in kernels:
-            grid = oracle.nystrom_grid(kernel)
-            top = oracle.nystrom_occupancies(lambda x, xp, k=kernel: rdm.kernel_value(k, x, xp), grid, 5)
-            ladder = np.array([rdm.occupancy(kernel, l) for l in range(5)])
-            worst_nystrom = max(worst_nystrom, float(np.max(np.abs(top - ladder))))
-        results.append((f"nystrom ladder N={n} d={d:g}", worst_nystrom <= 1e-5, f"max abs {worst_nystrom:.2e}"))
-
-        worst_momentum = 0.0
-        for k in np.linspace(-8.0, 8.0, 17):
-            analytic = float(observables.momentum_distribution(kernels, [k]).values[0])
-            direct = oracle.momentum_quadrature(kernels, k)
-            worst_momentum = max(worst_momentum, abs(analytic - direct))
-        results.append((f"momentum quadrature N={n} d={d:g}", worst_momentum <= 1e-6, f"max abs {worst_momentum:.2e}"))
-    return results
-
-
-def _verify_convergence() -> list[tuple[str, bool, str]]:
-    spec, config = _solve(3, 2.0, 1e-12, 200)
-    normal_modes = modes.compute_modes(spec, config)
-    coarse = oracle.quadrature_kernel(normal_modes, config, 2, 0.1, -0.2, oracle.QuadratureSpec(points_per_dim=20))
-    fine = oracle.quadrature_kernel(normal_modes, config, 2, 0.1, -0.2, oracle.QuadratureSpec(points_per_dim=40))
-    drift = abs(fine - coarse)
-    return [("quadrature order doubling", drift < 1e-8, f"drift {drift:.2e}")]
-
-
-def _verify_cross_solver() -> list[tuple[str, bool, str]]:
-    results = []
-    for token in (1.0, 2.0, LOG_TOKEN):
-        worst = 0.0
-        for n in range(2, 9):
-            spec = SystemSpec(n, _interaction(token))
-            newton = equilibrium.solve_equilibrium(spec)
-            derivative_free = oracle.independent_minimum(spec)
-            worst = max(worst, float(np.max(np.abs(newton.positions - derivative_free.positions))))
-        results.append((f"cross-solver agreement d={_d_token(token)}", worst <= 1e-8, f"max abs {worst:.2e}"))
-    return results
-
-
 def _cmd_verify(args) -> int:
-    rng = np.random.default_rng(20240817)
-    variants = [
-        ("d=0.5", Interaction.power_law(0.5)),
-        ("d=1", Interaction.power_law(1.0)),
-        ("d=2", Interaction.power_law(2.0)),
-        ("d=6", Interaction.power_law(6.0)),
-        ("log", Interaction.log_limit()),
-    ]
-    checks = []
-    checks.extend(_verify_derivatives(variants, rng))
-    checks.extend(_verify_kernels())
-    checks.extend(_verify_convergence())
-    checks.extend(_verify_cross_solver())
-    all_passed = True
-    for name, passed, detail in checks:
-        print(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
-        all_passed &= passed
-    return 0 if all_passed else 3
+    checks = verification.all_checks()
+    for check in checks:
+        print(check.line())
+    return 0 if all(check.passed for check in checks) else 3
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(parser, with_nd=True):
-    if with_nd:
-        parser.add_argument("--n", help="particle numbers: 4, 2,3,5 or 2..30")
-        parser.add_argument("--d", help="exponents: 2, 0.5:2:0.5, or the tokens log / inf")
+def _add_common(parser):
+    parser.add_argument("--n", help="particle numbers: 4, 2,3,5 or 2..30")
+    parser.add_argument("--d", help="exponents: 2, 0.5:2:0.5, or the tokens log / inf")
     parser.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default csv)")
     parser.add_argument("--output", default=None, help="output path, '-' for stdout (default)")
     parser.add_argument("--config", default=None, help="JSON file supplying any of these options")
@@ -393,7 +290,8 @@ def _add_common(parser, with_nd=True):
     parser.add_argument("--max-iter", type=int, default=None, help="solver iteration budget")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by command name."""
     parser = argparse.ArgumentParser(prog="wigmol", description="Wigner-molecule tables and scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -432,28 +330,41 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_momentum)
 
     p = sub.add_parser("verify", help="run the brute-force verification suite")
-    _add_common(p, with_nd=False)
     p.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args) -> None:
+def _config_value(action, key, value):
+    """A --config value checked like its flag's text; numeric options take JSON numbers."""
+    if isinstance(value, list):
+        value = ",".join(str(v) for v in value)
+    if action.type is None:
+        value = str(value)
+    else:
+        allowed = (int, float) if action.type is float else (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise _BadRequest(f"config field {key!r} must be a JSON {action.type.__name__}, got {value!r}")
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise _BadRequest(f"config field {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
+
+
+def _apply_config(args, command: argparse.ArgumentParser) -> None:
     if getattr(args, "config", None):
         try:
             with open(args.config) as handle:
                 config = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise _BadRequest(f"could not read config file: {exc}")
+        actions = {action.dest: action for action in command._actions}
         for key, value in config.items():
             attr = key.replace("-", "_")
-            if not hasattr(args, attr):
+            if attr not in actions or not hasattr(args, attr):
                 raise _BadRequest(f"unknown config field {key!r}")
+            value = _config_value(actions[attr], key, value)
             if getattr(args, attr) is None:
-                if isinstance(value, list):
-                    value = ",".join(str(v) for v in value)
-                elif attr in ("n", "d", "k", "x") and not isinstance(value, str):
-                    value = str(value)
                 setattr(args, attr, value)
     for attr, default in _DEFAULTS.items():
         if hasattr(args, attr) and getattr(args, attr) is None:
@@ -488,9 +399,10 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_join_negative_values(list(argv)))
+    parser, commands = _build_parser()
+    args = parser.parse_args(_join_negative_values(list(argv)))
     try:
-        _apply_config(args)
+        _apply_config(args, commands[args.command])
         return args.handler(args)
     except (_BadRequest, InfiniteDegeneracy, UnsupportedLimit, InvalidScale, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

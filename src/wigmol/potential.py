@@ -17,6 +17,7 @@ callers special-case it (its equilibrium is the unit lattice).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ _HARD_CORE = "hard_core"
 class Interaction:
     """Repulsion variant: a finite power d, the log limit, or the hard core.
 
-    Build instances through :meth:`power_law`, :meth:`log_limit` and
-    :meth:`hard_core` rather than the raw constructor.
+    Build instances through :meth:`power_law`, :meth:`log_limit`,
+    :meth:`hard_core` or :meth:`from_token` rather than the raw constructor.
     """
 
     kind: str
@@ -43,14 +44,23 @@ class Interaction:
         if self.kind not in (_POWER_LAW, _LOG_LIMIT, _HARD_CORE):
             raise ValueError(f"unknown interaction kind {self.kind!r}")
         if self.kind == _POWER_LAW:
-            if self.d is None or not self.d > 0:
-                raise ValueError("the power-law exponent d must be positive")
+            if self.d is None or not 0 < self.d < math.inf:
+                raise ValueError("the power-law exponent d must be positive and finite")
         elif self.d is not None:
             raise ValueError(f"{self.kind} carries no exponent")
 
     @classmethod
     def power_law(cls, d: float) -> "Interaction":
         return cls(_POWER_LAW, float(d))
+
+    @classmethod
+    def from_token(cls, token) -> "Interaction":
+        """``"log"`` for the log limit, ``"inf"`` for the hard core, else a power-law exponent."""
+        if token == "log":
+            return cls.log_limit()
+        if token == "inf":
+            return cls.hard_core()
+        return cls.power_law(float(token))
 
     @classmethod
     def log_limit(cls) -> "Interaction":

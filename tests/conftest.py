@@ -10,20 +10,10 @@ from wigmol import (
     solve_equilibrium,
 )
 
-LOG = "log"
-
-
-def interaction_for(token):
-    if token == LOG:
-        return Interaction.log_limit()
-    if token == "inf":
-        return Interaction.hard_core()
-    return Interaction.power_law(float(token))
-
 
 @functools.lru_cache(maxsize=None)
 def solved(n, token, tol=1e-12):
-    spec = SystemSpec(n, interaction_for(token))
+    spec = SystemSpec(n, Interaction.from_token(token))
     return spec, solve_equilibrium(spec, tol=tol)
 
 

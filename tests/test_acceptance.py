@@ -6,28 +6,17 @@ line per criterion even when everything is green.
 
 import numpy as np
 
-from conftest import interaction_for, kernel_set, solved
+from conftest import kernel_set, solved
 from wigmol import (
-    SystemSpec,
     compute_modes,
     default_k_grid,
-    independent_minimum,
-    kernel_value,
     lattice_guess,
     leading_occupancy,
     momentum_distribution,
-    nystrom_grid,
-    nystrom_occupancies,
-    occupancy,
     occupancy_spectrum,
-    potential_gradient,
-    potential_hessian,
-    potential_value,
-    quadrature_kernel,
     site_kernel,
-    solve_equilibrium,
 )
-from wigmol.oracle import fd_gradient, fd_jacobian, random_admissible_positions
+from wigmol.verification import cross_solver_checks, derivative_checks, kernel_checks
 
 GRID_TOKENS = ["log", 0.5, 1.0, 2.0, 6.0]
 
@@ -35,6 +24,10 @@ GRID_TOKENS = ["log", 0.5, 1.0, 2.0, 6.0]
 def _report(number, ok, detail):
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {number}: {detail}"
+
+
+def _report_checks(number, checks):
+    _report(number, all(c.passed for c in checks), "; ".join(c.line() for c in checks))
 
 
 def test_criterion_1_three_particle_occupancies():
@@ -96,24 +89,7 @@ def test_criterion_4_two_particle_momentum():
 
 
 def test_criterion_5_oracle_equivalence():
-    worst_quad = 0.0
-    worst_nystrom = 0.0
-    for n, d in [(2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)]:
-        _, config, modes, kernels = kernel_set(n, d)
-        for kernel in kernels:
-            reach = 3.0 * kernel.width
-            grid = np.linspace(kernel.center - reach, kernel.center + reach, 9)
-            for x in grid:
-                for xp in grid:
-                    direct = quadrature_kernel(modes, config, kernel.site, x, xp)
-                    worst_quad = max(worst_quad, abs(direct - float(kernel_value(kernel, x, xp))))
-            eigenvalues = nystrom_occupancies(
-                lambda x, xp, k=kernel: kernel_value(k, x, xp), nystrom_grid(kernel), 5
-            )
-            ladder = np.array([occupancy(kernel, l) for l in range(5)])
-            worst_nystrom = max(worst_nystrom, float(np.max(np.abs(eigenvalues - ladder))))
-    ok = worst_quad <= 1e-6 and worst_nystrom <= 1e-5
-    _report(5, ok, f"quadrature gap {worst_quad:.2e}, nystrom gap {worst_nystrom:.2e}")
+    _report_checks(5, kernel_checks())
 
 
 def test_criterion_6_structural_invariants():
@@ -209,33 +185,4 @@ def test_criterion_7_hard_core_limits():
 
 
 def test_criterion_8_derivative_and_solver_checks():
-    rng = np.random.default_rng(20240817)
-    worst_grad = 0.0
-    worst_hess = 0.0
-    for token in GRID_TOKENS:
-        interaction = interaction_for(token)
-        for _ in range(100):
-            n = int(rng.integers(2, 7))
-            spec = SystemSpec(n, interaction)
-            pos = random_admissible_positions(rng, n)
-            grad = potential_gradient(spec, pos)
-            grad_fd = fd_gradient(lambda p: potential_value(spec, p), pos)
-            worst_grad = max(worst_grad, np.max(np.abs(grad - grad_fd)) / max(1.0, np.max(np.abs(grad))))
-            hess = potential_hessian(spec, pos)
-            hess_fd = fd_jacobian(lambda p: potential_gradient(spec, p), pos)
-            if interaction.is_log_limit:
-                hess_fd = 0.5 * hess_fd
-            worst_hess = max(worst_hess, np.max(np.abs(hess - hess_fd)) / max(1.0, np.max(np.abs(hess))))
-    worst_solver = 0.0
-    for token in (1.0, 2.0, "log"):
-        for n in range(2, 9):
-            spec = SystemSpec(n, interaction_for(token))
-            newton = solve_equilibrium(spec)
-            derivative_free = independent_minimum(spec)
-            worst_solver = max(worst_solver, float(np.max(np.abs(newton.positions - derivative_free.positions))))
-    ok = worst_grad <= 1e-6 and worst_hess <= 1e-5 and worst_solver <= 1e-8
-    _report(
-        8,
-        ok,
-        f"gradient rel {worst_grad:.2e}, hessian rel {worst_hess:.2e}, solver gap {worst_solver:.2e}",
-    )
+    _report_checks(8, derivative_checks() + cross_solver_checks())

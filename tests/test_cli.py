@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wigmol import cli
+from wigmol import cli, verification
 
 
 def run(argv, capsys):
@@ -174,6 +174,10 @@ def test_explicit_flags_override_config(tmp_path, capsys):
         ["kernel", "--d", "2"],
         ["density", "--n", "2", "--d", "2", "--g", "1", "--spacing", "1"],
         ["density", "--n", "2", "--d", "2", "--g", "-3"],
+        ["scan-k", "--n", "2", "--d", "1e400"],
+        ["scan-k", "--n", "2", "--d", "infinity"],
+        ["momentum", "--n", "2", "--d", "2", "--k", "0:inf:1"],
+        ["density", "--n", "2", "--d", "2", "--x", "-inf:0:1"],
     ],
 )
 def test_invalid_requests_exit_2(argv, capsys):
@@ -199,6 +203,16 @@ def test_missing_config_file_exits_2(capsys):
     assert status == 2
 
 
+@pytest.mark.parametrize("field", [{"tol": "abc"}, {"max_iter": "5"}, {"format": "xml"}])
+def test_bad_config_values_exit_2(field, tmp_path, capsys):
+    config = tmp_path / "request.json"
+    config.write_text(json.dumps({"n": 2, "d": 2, **field}))
+    status, out, err = run(["kernel", "--config", str(config)], capsys)
+    assert status == 2
+    assert out == ""
+    assert next(iter(field)) in err
+
+
 def test_verify_reports_all_checks(capsys):
     status, out, _ = run(["verify"], capsys)
     assert status == 0
@@ -207,3 +221,17 @@ def test_verify_reports_all_checks(capsys):
     text = out.lower()
     for fragment in ("gradient", "hessian", "kernel quadrature", "nystrom", "momentum", "cross-solver", "doubling"):
         assert fragment in text
+
+
+def test_verify_takes_no_options(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--format", "json"])
+    assert excinfo.value.code == 2
+
+
+def test_verify_failure_exits_3(monkeypatch, capsys):
+    failing = verification.Check("synthetic check", False, 1.0, 1e-6)
+    monkeypatch.setattr(verification, "all_checks", lambda: [failing])
+    status, out, _ = run(["verify"], capsys)
+    assert status == 3
+    assert out == "FAIL synthetic check (max abs 1.00e+00)\n"

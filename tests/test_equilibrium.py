@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import interaction_for, solved
+from conftest import solved
 from wigmol import (
     Interaction,
     SystemSpec,
@@ -52,7 +52,7 @@ def test_three_particle_parity():
 @pytest.mark.parametrize("token", [2.0, "log"])
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
 def test_solution_independent_of_start(token, n):
-    spec = SystemSpec(n, interaction_for(token))
+    spec = SystemSpec(n, Interaction.from_token(token))
     reference = solve_equilibrium(spec)
     lattice = lattice_guess(n).positions
     rng = np.random.default_rng(n)

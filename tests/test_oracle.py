@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import interaction_for, kernel_set, solved
+from conftest import kernel_set, solved
 from wigmol import (
+    Interaction,
     QuadratureSpec,
     SystemSpec,
     independent_minimum,
@@ -114,14 +115,14 @@ def test_nystrom_rank_one_projector():
 
 
 def test_independent_minimum_two_particles():
-    spec = SystemSpec(2, interaction_for(1.0))
+    spec = SystemSpec(2, Interaction.from_token(1.0))
     config = independent_minimum(spec)
     separation = config.positions[1] - config.positions[0]
     assert abs(separation - 2.0 ** (1.0 / 3.0)) <= 1e-8
 
 
 def test_independent_minimum_log_parity():
-    spec = SystemSpec(3, interaction_for("log"))
+    spec = SystemSpec(3, Interaction.from_token("log"))
     config = independent_minimum(spec)
     assert abs(config.positions[1]) <= 1e-10
 
@@ -135,7 +136,7 @@ def test_independent_minimum_matches_newton(token, n):
 
 
 def test_independent_minimum_rejects_hard_core():
-    spec = SystemSpec(3, interaction_for("inf"))
+    spec = SystemSpec(3, Interaction.from_token("inf"))
     with pytest.raises(UnsupportedLimit):
         independent_minimum(spec)
 

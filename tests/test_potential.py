@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import interaction_for
 from wigmol import Interaction, SystemSpec, potential_gradient, potential_hessian, potential_value
 from wigmol.errors import CoincidentPositions, UnsupportedLimit
 from wigmol.oracle import fd_gradient, fd_jacobian, random_admissible_positions
@@ -16,9 +15,19 @@ def test_interaction_validation():
     with pytest.raises(ValueError):
         Interaction.power_law(-1.0)
     with pytest.raises(ValueError):
+        Interaction.power_law(float("inf"))
+    with pytest.raises(ValueError):
         SystemSpec(1, Interaction.power_law(1.0))
     assert Interaction.log_limit().is_log_limit
     assert Interaction.hard_core().is_hard_core
+
+
+def test_interaction_from_token():
+    assert Interaction.from_token("log") == Interaction.log_limit()
+    assert Interaction.from_token("inf") == Interaction.hard_core()
+    assert Interaction.from_token("2") == Interaction.from_token(2.0) == Interaction.power_law(2.0)
+    with pytest.raises(ValueError):
+        Interaction.from_token("infinity")
 
 
 def test_power_law_value_at_two_particle_minimum():
@@ -43,7 +52,7 @@ def test_coincident_positions_rejected():
 @pytest.mark.parametrize("token", [1.0, "log"])
 @pytest.mark.parametrize("positions", [[0.3, -1.0, 0.3], [1.0, 0.2, -0.5, 0.2]])
 def test_unsorted_coincident_positions_rejected(token, positions):
-    spec = SystemSpec(len(positions), interaction_for(token))
+    spec = SystemSpec(len(positions), Interaction.from_token(token))
     for func in (potential_value, potential_gradient, potential_hessian):
         with pytest.raises(CoincidentPositions):
             func(spec, positions)
@@ -65,7 +74,7 @@ def test_gradient_vanishes_at_known_minima():
 
 @pytest.mark.parametrize("token", [0.5, 1.0, 2.0, 6.0, "log"])
 def test_gradient_antisymmetric_for_symmetric_positions(token):
-    spec = SystemSpec(3, interaction_for(token))
+    spec = SystemSpec(3, Interaction.from_token(token))
     grad = potential_gradient(spec, [-1.3, 0.0, 1.3])
     assert_allclose(grad[0], -grad[2], rtol=1e-13)
     assert abs(grad[1]) < 1e-13
@@ -89,7 +98,7 @@ def test_log_hessian_uniform_direction():
 @pytest.mark.parametrize("token", [0.5, 2.0, "log"])
 def test_hessian_exactly_symmetric(token):
     rng = np.random.default_rng(7)
-    spec = SystemSpec(5, interaction_for(token))
+    spec = SystemSpec(5, Interaction.from_token(token))
     pos = random_admissible_positions(rng, 5)
     hess = potential_hessian(spec, pos)
     assert np.array_equal(hess, hess.T)
@@ -99,7 +108,7 @@ def test_hessian_exactly_symmetric(token):
 def test_parity_invariance(token):
     rng = np.random.default_rng(11)
     for n in (2, 4, 5):
-        spec = SystemSpec(n, interaction_for(token))
+        spec = SystemSpec(n, Interaction.from_token(token))
         pos = random_admissible_positions(rng, n)
         mirrored = -pos[::-1]
         assert_allclose(potential_value(spec, pos), potential_value(spec, mirrored), rtol=1e-13)
@@ -110,7 +119,7 @@ def test_uniform_vector_is_unit_eigenvector_anywhere(token):
     # trap curvature is 1 and the repulsion is translation invariant
     rng = np.random.default_rng(13)
     for n in (2, 3, 6):
-        spec = SystemSpec(n, interaction_for(token))
+        spec = SystemSpec(n, Interaction.from_token(token))
         pos = random_admissible_positions(rng, n)
         hess = potential_hessian(spec, pos)
         uniform = np.ones(n) / np.sqrt(n)
@@ -123,7 +132,7 @@ def test_uniform_vector_is_unit_eigenvector_anywhere(token):
 def test_derivatives_match_finite_differences(token, n):
     # light per-module check; the acceptance suite runs the full 100-point sweep
     rng = np.random.default_rng(100 * n + hash(str(token)) % 50)
-    spec = SystemSpec(n, interaction_for(token))
+    spec = SystemSpec(n, Interaction.from_token(token))
     for _ in range(10):
         pos = random_admissible_positions(rng, n)
         grad = potential_gradient(spec, pos)
