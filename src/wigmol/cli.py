@@ -24,6 +24,7 @@ LOG_TOKEN = "log"
 INF_TOKEN = "inf"
 
 _DEFAULTS = {"format": "csv", "output": "-", "tol": 1e-12, "max_iter": 200, "tail_tol": 1e-12}
+_MAX_GRID_POINTS = 1_000_000
 
 
 class _BadRequest(Exception):
@@ -62,7 +63,10 @@ def _parse_real_grid(text: str) -> list[float]:
         raise _BadRequest(f"grid bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise _BadRequest(f"bad grid bounds in {text!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if not count <= _MAX_GRID_POINTS:
+        raise _BadRequest(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    count = int(count)
     return [start + i * step for i in range(count)]
 
 

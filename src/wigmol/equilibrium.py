@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parity
 from .errors import DegenerateHessian, InvalidScale, NoConvergence
-from .potential import SystemSpec, potential_gradient, potential_hessian, potential_value
+from .potential import SystemSpec, _gradient_and_hessian, potential_gradient, potential_value
 
 BETA = "beta"
 ALPHA = "alpha"
@@ -49,64 +50,78 @@ def lattice_guess(n: int) -> Configuration:
     return Configuration(positions, LATTICE, 0.0)
 
 
-def _symmetrized(pos: np.ndarray) -> np.ndarray:
-    # projects onto the reflection-antisymmetric subspace the minimum lives in
-    return (pos - pos[::-1]) / 2.0
-
-
-def _ordered(pos: np.ndarray) -> bool:
-    return bool(np.all(np.diff(pos) > 0.0))
+def _ordered(half: np.ndarray) -> bool:
+    # the chain (-J h, 0, h) increases strictly exactly when h does and h[0] > 0
+    return bool(half[0] > 0.0 and (half[1:] > half[:-1]).all())
 
 
 def _hermite_zeros(n: int) -> np.ndarray:
-    # eigenvalues of the Jacobi matrix of the Hermite recurrence (Golub-Welsch)
-    off = np.sqrt(np.arange(1, n) / 2.0)
-    return np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    """Positive zeros of H_N, ascending (the right half of the log-limit minimum).
+
+    The zeros are the eigenvalues of the Jacobi matrix of the Hermite
+    recurrence (Golub-Welsch), whose off-diagonal is sqrt(k/2).  That
+    matrix has a zero diagonal, so it is bipartite between even and odd
+    sites: its eigenvalues are plus and minus the singular values of the
+    bidiagonal block coupling the two, which has N - N//2 rows, N//2
+    columns, sqrt(i + 1/2) on the diagonal and sqrt(i) below it.
+    """
+    rows, cols = n - n // 2, n // 2
+    coupling = np.zeros((rows, cols))
+    k = np.arange(cols)
+    coupling[k, k] = np.sqrt(k + 0.5)
+    i = np.arange(1, rows)
+    coupling[i, i - 1] = np.sqrt(i)
+    return np.linalg.svd(coupling, compute_uv=False)[::-1]
 
 
-def _initial_guess(spec: SystemSpec) -> np.ndarray:
+def _initial_half(spec: SystemSpec) -> np.ndarray:
     if spec.interaction.is_log_limit:
         # the log-limit minimum is exactly the zeros of H_N (Stieltjes)
-        return _symmetrized(_hermite_zeros(spec.n_particles))
-    lattice = lattice_guess(spec.n_particles).positions
+        return _hermite_zeros(spec.n_particles)
+    lattice = _parity.fold(lattice_guess(spec.n_particles).positions)
     d = spec.interaction.d
     # (2d)**(1/(2+d)) is the exact two-particle separation
     return lattice * (2.0 * d) ** (1.0 / (2.0 + d))
 
 
-def _newton_hessian(spec: SystemSpec, pos: np.ndarray) -> np.ndarray:
-    hess = potential_hessian(spec, pos)
-    if spec.interaction.is_log_limit:
-        hess = 2.0 * hess  # Newton pairs the gradient with the raw curvature
-    return hess
+def _point(spec: SystemSpec) -> str:
+    interaction = spec.interaction
+    label = "log limit" if interaction.is_log_limit else f"d={interaction.d:g}"
+    return f"N={spec.n_particles}, {label}"
 
 
-def _descend(
-    spec: SystemSpec, pos: np.ndarray, value: float, step: np.ndarray, grad_norm: float
-) -> tuple[np.ndarray, float]:
-    """Backtracking step: accept once the value or the gradient norm drops.
+def _descend(spec: SystemSpec, half: np.ndarray, value: float, step: np.ndarray, grad_norm: float):
+    """Backtracking step on the right-half coordinates, or None if none is found.
 
-    ``value`` is the landscape value at ``pos``; the accepted candidate is
-    returned with its own value, so the next step need not recompute it.
+    Accepts once the value or the gradient max-norm drops.  ``value`` is
+    the landscape value at ``half``.  Returns the accepted candidate, its
+    value and, when the gradient test accepted it, the (gradient,
+    curvature) pair already computed there, so the next Newton point
+    reuses both instead of recomputing them.
     """
+    n = spec.n_particles
     scale = 1.0
     for _ in range(60):
-        candidate = _symmetrized(pos + scale * step)
+        candidate = half + scale * step
         if _ordered(candidate):
-            candidate_value = potential_value(spec, candidate)
+            pos = _parity.unfold(candidate, n)
+            candidate_value = potential_value(spec, pos)
             if candidate_value < value:
-                return candidate, candidate_value
-            if np.max(np.abs(potential_gradient(spec, candidate))) < grad_norm:
-                return candidate, candidate_value
+                return candidate, candidate_value, None
+            landscape = _gradient_and_hessian(spec, pos)
+            if np.abs(landscape[0]).max() < grad_norm:
+                return candidate, candidate_value, landscape
         scale *= 0.5
-    raise NoConvergence("Newton line search found no acceptable step")
+    return None
 
 
-def _check_minimum(spec: SystemSpec, pos: np.ndarray):
+def _check_minimum(spec: SystemSpec, even: np.ndarray, odd: np.ndarray):
+    # H is orthogonally similar to diag(E, O), so both blocks positive definite means H is
     try:
-        np.linalg.cholesky(potential_hessian(spec, pos))
+        np.linalg.cholesky(even)
+        np.linalg.cholesky(odd)
     except np.linalg.LinAlgError:
-        raise DegenerateHessian("curvature is not positive definite at the candidate minimum")
+        raise DegenerateHessian(f"{_point(spec)}: curvature is not positive definite at the candidate minimum")
 
 
 def solve_equilibrium(
@@ -117,10 +132,12 @@ def solve_equilibrium(
 ) -> Configuration:
     """Find the ordered minimum of the scaled landscape.
 
-    Damped Newton iteration on the analytic gradient with the analytic
-    curvature matrix; every iterate is projected back onto the
-    antisymmetric subspace.  For the hard-core variant the exact unit
-    lattice is returned unchanged.
+    Damped Newton iteration on the N//2 right-half coordinates of the
+    antisymmetric subspace, with the middle site pinned at zero for odd
+    N.  Gradient and curvature come from one pair pass per iterate; the
+    step solves only the odd parity block of the curvature, which is the
+    whole curvature on that subspace.  For the hard-core variant the
+    exact unit lattice is returned unchanged.
 
     Parameters
     ----------
@@ -133,37 +150,56 @@ def solve_equilibrium(
     max_iter : int
         Newton iteration budget.
     initial_positions : array_like, optional
-        Starting point override.  The default is the zeros of the Hermite
-        polynomial H_N for the log limit, which are its exact minimum, and
-        the unit lattice scaled to the exact two-particle separation for a
-        power law.
+        Starting point override; its antisymmetric part is used.  The
+        default is the zeros of the Hermite polynomial H_N for the log
+        limit, which are its exact minimum, and the unit lattice scaled to
+        the exact two-particle separation for a power law.
 
     Raises
     ------
     NoConvergence
-        If the budget runs out or no descent step exists.
+        If the budget runs out or no descent step exists; the message
+        names N, the interaction, the last residual and the iterations.
     DegenerateHessian
         If the curvature is not positive definite at the solution.
     """
     if spec.interaction.is_hard_core:
         return lattice_guess(spec.n_particles)
+    n = spec.n_particles
     if initial_positions is None:
-        pos = _initial_guess(spec)
+        half = _initial_half(spec)
     else:
-        pos = _symmetrized(np.asarray(initial_positions, dtype=float))
+        start = np.asarray(initial_positions, dtype=float)
+        if start.shape != (n,):
+            raise ValueError(f"expected {n} starting positions, got shape {start.shape}")
+        half = _parity.fold(start)
     kind = ALPHA if spec.interaction.is_log_limit else BETA
-    value = None
-    for _ in range(max_iter):
-        grad = potential_gradient(spec, pos)
-        residual = float(np.max(np.abs(grad)))
+    # Newton pairs the gradient with the raw curvature, twice the log-limit convention
+    grad_scale = 0.5 if spec.interaction.is_log_limit else 1.0
+    value = landscape = None
+    for iteration in range(1, max_iter + 1):
+        pos = _parity.unfold(half, n)
+        grad, hess = landscape or _gradient_and_hessian(spec, pos)
+        residual = float(np.abs(grad).max())
+        odd = _parity.odd_block(hess)
         if residual <= tol:
-            _check_minimum(spec, pos)
+            _check_minimum(spec, _parity.even_block(hess), odd)
             return Configuration(pos, kind, residual)
-        step = np.linalg.solve(_newton_hessian(spec, pos), -grad)
+        step = np.linalg.solve(odd, -grad_scale * _parity.fold(grad))
         if value is None:
             value = potential_value(spec, pos)
-        pos, value = _descend(spec, pos, value, step, residual)
-    raise NoConvergence(f"gradient max-norm still above {tol:g} after {max_iter} Newton iterations")
+        accepted = _descend(spec, half, value, step, residual)
+        if accepted is None:
+            raise NoConvergence(
+                f"{_point(spec)}: Newton line search found no acceptable step "
+                f"in iteration {iteration} (gradient max-norm {residual:.3g}, tol {tol:g})"
+            )
+        half, value, landscape = accepted
+    residual = float(np.abs(potential_gradient(spec, _parity.unfold(half, n))).max())
+    raise NoConvergence(
+        f"{_point(spec)}: gradient max-norm {residual:.3g} still above tol {tol:g} "
+        f"after {max_iter} Newton iterations"
+    )
 
 
 def coordinate_scale(spec: SystemSpec, g: float, d_aux: float | None = None) -> float:

@@ -5,6 +5,11 @@ orthogonal; row i of U maps a displacement vector to mode coordinate i,
 and v_i are the mode frequencies.  The uniform displacement is always a
 mode with frequency exactly 1 (the bare trap), because the repulsion is
 translation invariant.
+
+At a solved chain the curvature commutes with site reversal, so
+:func:`compute_modes` diagonalizes its even and odd parity blocks
+separately; :func:`modes_from_hessian` is the path for a general
+symmetric matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parity
 from .equilibrium import Configuration
 from .errors import NegativeEigenvalue, UnsupportedLimit
 from .potential import SystemSpec, potential_hessian
@@ -40,10 +46,15 @@ class NormalModes:
         return self.frequencies.size
 
 
-def _fix_signs(rows: np.ndarray) -> np.ndarray:
-    # largest-magnitude entry of every mode vector made positive, for reproducibility
-    peak = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
-    return np.where((peak < 0)[:, None], -rows, rows)
+def _fix_signs(rows: np.ndarray, width: int | None = None) -> np.ndarray:
+    """Flip rows in place so that the largest-magnitude entry among the first ``width`` is positive.
+
+    Reproducibility convention; ``argmax`` takes the first of tied entries.
+    """
+    head = rows[:, :width]
+    peak = head[np.arange(rows.shape[0]), np.argmax(np.abs(head), axis=1)]
+    rows[peak < 0] *= -1.0
+    return rows
 
 
 def _order_degenerate(freqs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -62,9 +73,10 @@ def _order_degenerate(freqs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, 
 
 
 def modes_from_hessian(hessian: np.ndarray) -> NormalModes:
-    """Diagonalize a symmetric curvature matrix into normal modes.
+    """Diagonalize a general symmetric curvature matrix into normal modes.
 
-    Raises NegativeEigenvalue (a DegenerateHessian) if any eigenvalue is
+    Exactly degenerate frequencies get their mode vectors in lexicographic
+    order.  Raises NegativeEigenvalue (a DegenerateHessian) if any eigenvalue is
     not positive, which signals a saddle rather than a minimum.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(hessian)
@@ -77,10 +89,30 @@ def modes_from_hessian(hessian: np.ndarray) -> NormalModes:
 
 
 def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
-    """Normal modes at a solved configuration of the given system."""
+    """Normal modes at a solved configuration of the given system.
+
+    The curvature at the antisymmetric minimum is persymmetric, so it is
+    diagonalized as its even and odd parity blocks, each half the size.
+    Every mode row is exactly symmetric or antisymmetric under site
+    reversal; its sign makes the largest entry positive, and because
+    mirror entries are exact copies that entry always lies in the first
+    half (or at the middle site).  Frequencies are merged in ascending
+    order.  Raises NegativeEigenvalue if either block has a non-positive
+    eigenvalue.
+    """
     if spec.interaction.is_hard_core:
         raise UnsupportedLimit("the hard-core limit has no harmonic expansion")
-    return modes_from_hessian(potential_hessian(spec, config.positions))
+    hess = potential_hessian(spec, config.positions)
+    even_values, even_vectors = np.linalg.eigh(_parity.even_block(hess))
+    odd_values, odd_vectors = np.linalg.eigh(_parity.odd_block(hess))
+    lowest = min(even_values[0], odd_values[0])
+    if lowest <= 0:
+        raise NegativeEigenvalue(f"smallest curvature eigenvalue is {lowest:g}")
+    frequencies = np.sqrt(np.concatenate((even_values, odd_values)))
+    order = np.argsort(frequencies, kind="stable")
+    rows = _parity.unfold_rows(even_vectors, odd_vectors)[order]
+    n = config.n_particles
+    return NormalModes(frequencies[order], _fix_signs(rows, n - n // 2))
 
 
 def ground_state_precision(modes: NormalModes) -> np.ndarray:

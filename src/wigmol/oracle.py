@@ -4,7 +4,8 @@ Nothing here reuses the marginalization formulas it is meant to check:
 the kernel integral is done by Gauss-Hermite quadrature on the raw
 wavepacket product, occupancies are recovered as eigenvalues of the
 grid-discretized kernel, derivatives are checked by central differences,
-and the equilibrium is re-found by a derivative-free coordinate search.
+and the equilibrium is re-found by a derivative-free coordinate search
+over the right-half coordinates.
 """
 
 from __future__ import annotations
@@ -165,41 +166,55 @@ def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
     lattice, followed by parabolic-fit polish sweeps that push the result
     well below ``tol`` despite working from function values only.  Meant
     for cross-checking the Newton solver at small N.
+
+    Only the N//2 right-half coordinates are searched; the left half is
+    their mirror image and the middle site of an odd chain sits at zero.
+    That loses nothing: on the ordered sector the landscape is strictly
+    convex (the trap is, and each pair term is a convex function of a
+    positive separation), so its unique minimum is invariant under the
+    reflection x -> -J x, that is, antisymmetric.  The returned residual
+    is the max-norm of the full gradient.
     """
     if spec.interaction.is_hard_core:
         raise UnsupportedLimit("the hard-core equilibrium is the lattice itself")
     n = spec.n_particles
+    m = n // 2
     golden_xtol = min(1e-7, tol * 10.0)
     golden_settle = min(1e-6, tol * 100.0)
     polish_settle = min(1e-11, tol / 10.0)
 
-    def value(pos: np.ndarray) -> float:
+    def mirrored(half: np.ndarray) -> np.ndarray:
+        return np.concatenate((-half[::-1], np.zeros(n % 2), half))
+
+    def value(half: np.ndarray) -> float:
         try:
-            return potential_value(spec, pos)
+            return potential_value(spec, mirrored(half))
         except CoincidentPositions:
             return np.inf
 
-    positions = lattice_guess(n).positions.copy()
+    half = lattice_guess(n).positions[n - m :].copy()
     for sweep in range(400):
         moved = 0.0
-        for k in range(n):
-            lo = positions[k - 1] + 1e-9 if k > 0 else positions[k] - 3.0
-            hi = positions[k + 1] - 1e-9 if k < n - 1 else positions[k] + 3.0
+        for k in range(m):
+            # the first right-half site only has to stay right of its mirror (or the middle site)
+            lo = half[k - 1] + 1e-9 if k > 0 else 1e-9
+            hi = half[k + 1] - 1e-9 if k < m - 1 else half[k] + 3.0
 
             def line(coord: float, k: int = k) -> float:
-                trial = positions.copy()
+                trial = half.copy()
                 trial[k] = coord
                 return value(trial)
 
             best = _golden_section(line, lo, hi, golden_xtol)
-            moved = max(moved, abs(best - positions[k]))
-            positions[k] = best
+            moved = max(moved, abs(best - half[k]))
+            half[k] = best
         if moved < golden_settle:
             break
     else:
         raise NoConvergence("coordinate descent did not settle within 400 sweeps")
-    positions = _parabolic_sweeps(value, positions, 1e-5, 300, polish_settle)
-    positions = _parabolic_sweeps(value, positions, 3e-6, 100, polish_settle)
+    half = _parabolic_sweeps(value, half, 1e-5, 300, polish_settle)
+    half = _parabolic_sweeps(value, half, 3e-6, 100, polish_settle)
+    positions = mirrored(half)
     residual = float(np.max(np.abs(potential_gradient(spec, positions))))
     kind = ALPHA if spec.interaction.is_log_limit else BETA
     return Configuration(positions, kind, residual)

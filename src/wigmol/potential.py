@@ -10,7 +10,9 @@ and, for the logarithmic small-d limit (separate alpha coordinates),
 
     V(alpha) = sum(alpha**2) - sum_{i<j} log((alpha_i - alpha_j)**2).
 
-Both variants get analytic values, gradients and curvature matrices here.
+Both variants get analytic values, gradients and curvature matrices here;
+gradient and curvature share one pass over the particle pairs, which the
+Newton solver takes once per iterate.
 The hard-core d -> infinity limit has no smooth landscape and is rejected;
 callers special-case it (its equilibrium is the unit lattice).
 """
@@ -95,21 +97,56 @@ class SystemSpec:
             raise ValueError("at least two particles are needed for a pair repulsion")
 
 
-def _checked_positions(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndarray]:
-    """Return (positions, pairwise differences), rejecting coincident pairs."""
+def _reject_hard_core(spec: SystemSpec):
+    if spec.interaction.is_hard_core:
+        raise UnsupportedLimit("the hard-core limit has no smooth potential")
+
+
+def _pair_pass(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One difference matrix for a landscape evaluation, after the input checks.
+
+    Returns (positions, pairwise differences, separations), both matrices
+    with a unit diagonal, rejecting the hard core, a wrong shape and
+    coincident pairs.
+    """
+    _reject_hard_core(spec)
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
     n = spec.n_particles
     if pos.shape != (n,):
         raise ValueError(f"expected {n} positions, got shape {pos.shape}")
     ordered = np.sort(pos)
-    if np.any(ordered[1:] == ordered[:-1]):
+    if (ordered[1:] == ordered[:-1]).any():
         raise CoincidentPositions("two particles share the same position")
-    return pos, pos[:, None] - pos[None, :]
+    diff = pos[:, None] - pos[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return pos, diff, np.abs(diff)
 
 
-def _reject_hard_core(spec: SystemSpec):
-    if spec.interaction.is_hard_core:
-        raise UnsupportedLimit("the hard-core limit has no smooth potential")
+def _gradient_and_hessian(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and curvature matrix from one pair pass.
+
+    Both come from one difference matrix and one power of the
+    separations, ``sep**(-d - 2)`` (``1/diff`` in the log limit): the pair
+    forces sum row-wise to the repulsive part of the gradient, and the
+    pair couplings are minus the off-diagonal curvature.
+    """
+    pos, diff, sep = _pair_pass(spec, positions)
+    # the pair matrices are fresh, so they are overwritten in place
+    if spec.interaction.is_log_limit:
+        inv = np.divide(1.0, diff, out=diff)
+        np.fill_diagonal(inv, 0.0)
+        grad = 2.0 * pos - 2.0 * inv.sum(axis=1)
+        coupling = np.multiply(inv, inv, out=sep)
+    else:
+        d = spec.interaction.d
+        power = np.power(sep, -d - 2.0, out=sep)
+        np.fill_diagonal(power, 0.0)
+        grad = pos - d * np.multiply(diff, power, out=diff).sum(axis=1)
+        coupling = np.multiply(power, d * (d + 1.0), out=power)
+    diagonal = 1.0 + coupling.sum(axis=1)
+    hess = np.negative(coupling, out=coupling)
+    np.fill_diagonal(hess, diagonal)
+    return grad, hess
 
 
 def potential_value(spec: SystemSpec, positions) -> float:
@@ -129,13 +166,12 @@ def potential_value(spec: SystemSpec, positions) -> float:
     UnsupportedLimit
         For the hard-core variant.
     """
-    _reject_hard_core(spec)
-    pos, diff = _checked_positions(spec, positions)
+    pos, _, sep = _pair_pass(spec, positions)
     # ~tri keeps the row-major pair order of triu_indices(n, k=1)
-    sep = np.abs(diff[~np.tri(spec.n_particles, dtype=bool)])
+    pairs = sep[~np.tri(spec.n_particles, dtype=bool)]
     if spec.interaction.is_log_limit:
-        return float(np.sum(pos**2) - np.sum(np.log(sep**2)))
-    return float(0.5 * np.sum(pos**2) + np.sum(sep ** (-spec.interaction.d)))
+        return float((pos**2).sum() - np.log(pairs**2).sum())
+    return float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())
 
 
 def potential_gradient(spec: SystemSpec, positions) -> np.ndarray:
@@ -144,18 +180,7 @@ def potential_gradient(spec: SystemSpec, positions) -> np.ndarray:
     At a solved equilibrium the max-norm of the result sits below the
     solver tolerance.  Raises like :func:`potential_value`.
     """
-    _reject_hard_core(spec)
-    pos, diff = _checked_positions(spec, positions)
-    if spec.interaction.is_log_limit:
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        return 2.0 * pos - 2.0 * inv.sum(axis=1)
-    d = spec.interaction.d
-    sep = np.abs(diff)
-    np.fill_diagonal(sep, 1.0)
-    slope = np.sign(diff) * sep ** (-d - 1.0)
-    return pos - d * slope.sum(axis=1)
+    return _gradient_and_hessian(spec, positions)[0]
 
 
 def potential_hessian(spec: SystemSpec, positions) -> np.ndarray:
@@ -167,16 +192,4 @@ def potential_hessian(spec: SystemSpec, positions) -> np.ndarray:
     normal-mode analysis needs; it also fixes the uniform vector as an
     exact eigenvector with eigenvalue 1 for every variant.
     """
-    _reject_hard_core(spec)
-    _, diff = _checked_positions(spec, positions)
-    sep = np.abs(diff)
-    np.fill_diagonal(sep, 1.0)
-    if spec.interaction.is_log_limit:
-        coupling = sep**-2.0
-    else:
-        d = spec.interaction.d
-        coupling = d * (d + 1.0) * sep ** (-d - 2.0)
-    np.fill_diagonal(coupling, 0.0)
-    hess = -coupling
-    np.fill_diagonal(hess, 1.0 + coupling.sum(axis=1))
-    return hess
+    return _gradient_and_hessian(spec, positions)[1]

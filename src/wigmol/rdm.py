@@ -11,9 +11,10 @@ the marginalization gives 2a + b = M_ii and 2a - b = 1/inv(M)_ii, while A
 follows from the per-site trace 1/N.  Both diagonals are weighted column
 sums of U**2, diag M = v @ U**2 and diag inv(M) = (1/v) @ U**2, so every
 site follows in O(N**2) from the normal modes with no linear solve.
-Reflection symmetry makes sites i and N - i + 1 equivalent; the kernel set
-averages each diagonal with its reverse so mirror sites come out bitwise
-identical.
+Reflection symmetry makes sites i and N - i + 1 equivalent: the modes of a
+solved chain are exactly even or odd, so mirror columns of U**2 are equal
+and the column sums, taken row by row, give mirror sites bitwise
+identical kernels.
 
 Such a kernel diagonalizes in closed form: its eigenfunctions are
 Hermite-Gaussian orbitals of width parameter eta = sqrt(4a**2 - b**2)
@@ -57,6 +58,17 @@ class SiteKernel:
     def width(self) -> float:
         """Length scale 1/sqrt(eta) of the site orbitals."""
         return self.eta**-0.5
+
+
+def _precision_diagonals(modes: NormalModes, columns: slice) -> tuple[np.ndarray, np.ndarray]:
+    """diag M = v @ U**2 and diag inv(M) = (1/v) @ U**2 on the given sites.
+
+    Summed row by row rather than by a matrix-vector product, so equal
+    columns of U**2 give bitwise equal sums whatever their position.
+    """
+    weights = modes.mode_matrix[:, columns] ** 2
+    freqs = modes.frequencies[:, None]
+    return (freqs * weights).sum(axis=0), ((1.0 / freqs) * weights).sum(axis=0)
 
 
 def _kernel_parameters(diag_m: np.ndarray, diag_m_inv: np.ndarray, n: int, first_site: int):
@@ -106,9 +118,7 @@ def site_kernel(modes: NormalModes, config: Configuration, site: int) -> SiteKer
     if not 1 <= site <= n:
         raise ValueError(f"site must lie in 1..{n}")
     idx = site - 1
-    weights = modes.mode_matrix[:, idx : idx + 1] ** 2
-    freqs = modes.frequencies
-    params = _kernel_parameters(freqs @ weights, (1.0 / freqs) @ weights, n, site)
+    params = _kernel_parameters(*_precision_diagonals(modes, slice(idx, idx + 1)), n, site)
     amplitude, a, b, eta, y = (float(p[0]) for p in params)
     return SiteKernel(site, float(config.positions[idx]), amplitude, a, b, eta, y)
 
@@ -116,9 +126,9 @@ def site_kernel(modes: NormalModes, config: Configuration, site: int) -> SiteKer
 def all_site_kernels(modes: NormalModes, config: Configuration) -> tuple[SiteKernel, ...]:
     """Kernels for every site from two weighted column sums of the modes.
 
-    Each diagonal is averaged with its reverse, which changes it only by
-    roundoff for the reflection-symmetric modes of a solved chain, so
-    mirror sites i and N - i + 1 carry bitwise identical (A, a, b, eta, y).
+    The modes of a solved chain are exactly even or odd under reflection,
+    so mirror sites i and N - i + 1 carry bitwise identical
+    (A, a, b, eta, y) with no averaging.
 
     Raises
     ------
@@ -126,13 +136,7 @@ def all_site_kernels(modes: NormalModes, config: Configuration) -> tuple[SiteKer
         Naming the first site whose b falls outside (0, 2a).
     """
     n = config.n_particles
-    weights = modes.mode_matrix**2
-    freqs = modes.frequencies
-    diag_m = freqs @ weights
-    diag_m_inv = (1.0 / freqs) @ weights
-    diag_m = 0.5 * (diag_m + diag_m[::-1])
-    diag_m_inv = 0.5 * (diag_m_inv + diag_m_inv[::-1])
-    params = _kernel_parameters(diag_m, diag_m_inv, n, 1)
+    params = _kernel_parameters(*_precision_diagonals(modes, slice(None)), n, 1)
     rows = np.column_stack((config.positions, *params)).tolist()
     return tuple(SiteKernel(site, *row) for site, row in enumerate(rows, start=1))
 

@@ -178,6 +178,8 @@ def test_explicit_flags_override_config(tmp_path, capsys):
         ["scan-k", "--n", "2", "--d", "infinity"],
         ["momentum", "--n", "2", "--d", "2", "--k", "0:inf:1"],
         ["density", "--n", "2", "--d", "2", "--x", "-inf:0:1"],
+        ["momentum", "--n", "2", "--d", "2", "--k", "0:1e300:1e-300"],
+        ["momentum", "--n", "2", "--d", "2", "--k", "0:1e9:1"],
     ],
 )
 def test_invalid_requests_exit_2(argv, capsys):
@@ -196,6 +198,16 @@ def test_solver_failure_exits_3(capsys):
     status, _, err = run(["scan-k", "--n", "10", "--d", "6", "--max-iter", "1"], capsys)
     assert status == 3
     assert "numerical failure" in err
+
+
+def test_solver_failure_names_its_state(capsys):
+    status, out, err = run(["scan-k", "--n", "2,7", "--d", "1.5", "--max-iter", "1"], capsys)
+    assert status == 3
+    assert out == ""
+    # N = 2 converges from its exact start; N = 7 runs out of iterations
+    assert "N=7, d=1.5" in err
+    assert "gradient max-norm" in err
+    assert "after 1 Newton iterations" in err
 
 
 def test_missing_config_file_exits_2(capsys):

@@ -6,6 +6,7 @@ from conftest import solved
 from wigmol import (
     Interaction,
     SystemSpec,
+    all_site_kernels,
     compute_modes,
     lattice_guess,
     physical_centers,
@@ -153,3 +154,36 @@ def test_physical_centers_invalid_scale():
         physical_centers(log_config, log_spec, g=1.0)
     with pytest.raises(InvalidScale):
         physical_centers(log_config, log_spec, g=1.0, d_aux=-0.1)
+
+
+# d = 2 is Calogero's chain: its minimum is the zeros of H_N in beta
+# coordinates too, its mode frequencies are exactly 1..N, and the Hermite-zero
+# sum rule sum_{j != i} (z_i - z_j)**-2 = (2N - 2 - z_i**2)/3 gives every site
+# 2a + b = M_ii = (2N + 1 - z_i**2)/3 in closed form.
+@pytest.mark.parametrize("n", [5, 20, 40, 60])
+def test_inverse_square_chain_is_exact(n):
+    spec = SystemSpec(n, Interaction.power_law(2.0))
+    config = solve_equilibrium(spec)
+    zeros, _ = np.polynomial.hermite.hermgauss(n)
+    assert_allclose(config.positions, zeros, rtol=0.0, atol=1e-12)
+    modes = compute_modes(spec, config)
+    assert_allclose(modes.frequencies, np.arange(1.0, n + 1.0), rtol=1e-12)
+    kernels = all_site_kernels(modes, config)
+    sums = np.array([2.0 * k.a + k.b for k in kernels])
+    assert_allclose(sums, (2.0 * n + 1.0 - zeros**2) / 3.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("token", [1.0, "log"])
+@pytest.mark.parametrize("n", [2, 7, 12])
+def test_solution_is_exactly_antisymmetric(token, n):
+    _, config = solved(n, token)
+    assert np.array_equal(config.positions, -config.positions[::-1])
+    if n % 2:
+        assert config.positions[n // 2] == 0.0
+
+
+def test_start_of_wrong_length_rejected():
+    # a 5-vector has the same right half size as a 4-particle chain
+    spec = SystemSpec(4, Interaction.power_law(1.0))
+    with pytest.raises(ValueError, match="expected 4 starting positions"):
+        solve_equilibrium(spec, initial_positions=np.arange(5.0))

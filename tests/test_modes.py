@@ -13,6 +13,7 @@ from wigmol import (
     potential_hessian,
     solve_equilibrium,
 )
+from wigmol import _parity
 from wigmol.errors import DegenerateHessian, NegativeEigenvalue, UnsupportedLimit
 from wigmol.oracle import fd_jacobian
 
@@ -62,6 +63,42 @@ def test_sign_convention_and_determinism():
     again = compute_modes(spec, config)
     assert np.array_equal(modes.frequencies, again.frequencies)
     assert np.array_equal(modes.mode_matrix, again.mode_matrix)
+
+
+@pytest.mark.parametrize("n, token", [(12, 1.0), (11, 1.0), (12, "log"), (7, 2.0)])
+def test_modes_are_exactly_even_or_odd(n, token):
+    # mirror entries are exact copies, so the sign convention never rests on a roundoff tie
+    _, _, modes = _modes(n, token)
+    rows = modes.mode_matrix
+    odd = [row for row in rows if np.allclose(row, -row[::-1], atol=1e-8)]
+    even = [row for row in rows if np.allclose(row, row[::-1], atol=1e-8)]
+    assert len(odd) == n // 2
+    assert len(even) == n - n // 2
+    for row in odd:
+        assert np.array_equal(row, -row[::-1])
+        peak = np.argmax(np.abs(row))
+        assert peak < n // 2
+        assert row[peak] > 0
+    for row in even:
+        assert np.array_equal(row, row[::-1])
+        assert row[np.argmax(np.abs(row))] > 0
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 9])
+def test_parity_blocks_carry_the_full_spectrum(n):
+    rng = np.random.default_rng(n)
+    sym = rng.standard_normal((n, n))
+    sym = sym + sym.T
+    persym = sym + sym[::-1, ::-1]
+    even, odd = _parity.even_block(persym), _parity.odd_block(persym)
+    assert even.shape == (n - n // 2,) * 2
+    assert odd.shape == (n // 2,) * 2
+    merged = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
+    assert_allclose(merged, np.linalg.eigvalsh(persym), atol=1e-12 * np.linalg.norm(persym))
+    rows = _parity.unfold_rows(np.linalg.eigh(even)[1], np.linalg.eigh(odd)[1])
+    assert_allclose(rows @ rows.T, np.eye(n), atol=1e-13)
+    half = rng.standard_normal(n // 2)
+    assert np.array_equal(_parity.fold(_parity.unfold(half, n)), half)
 
 
 def test_degenerate_block_ordering():

@@ -13,6 +13,7 @@ from wigmol import (
     nystrom_grid,
     nystrom_occupancies,
     occupancy,
+    potential_gradient,
     quadrature_kernel,
     site_density,
 )
@@ -133,6 +134,14 @@ def test_independent_minimum_matches_newton(token, n):
     spec, newton = solved(n, token)
     derivative_free = independent_minimum(spec)
     assert np.max(np.abs(derivative_free.positions - newton.positions)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_independent_minimum_is_mirrored_with_full_residual(n):
+    spec = SystemSpec(n, Interaction.from_token(1.0))
+    config = independent_minimum(spec)
+    assert np.array_equal(config.positions, -config.positions[::-1])
+    assert config.residual == np.max(np.abs(potential_gradient(spec, config.positions)))
 
 
 def test_independent_minimum_rejects_hard_core():
