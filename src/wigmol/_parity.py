@@ -14,7 +14,8 @@ diag(E, O):
 
 Every block formula of the package lives here.  The blocks read only the
 right-half rows of H (and, for odd N, the middle row), so they come out
-exactly symmetric for an exactly antisymmetric configuration.
+exactly symmetric for an exactly antisymmetric configuration, and they
+accept those N - m rows alone as well as the full matrix.
 """
 
 from __future__ import annotations
@@ -44,37 +45,42 @@ def unfold(half: np.ndarray, n: int) -> np.ndarray:
     return full
 
 
-def _right_and_mirrored(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _right_and_mirrored(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A and B J: the right-half rows against the right half and against its mirror image
-    n = hess.shape[0]
+    n = rows.shape[1]
     m = n // 2
-    return hess[n - m :, n - m :], hess[n - m :, m - 1 :: -1]
+    right_rows = rows[rows.shape[0] - m :]
+    return right_rows[:, n - m :], right_rows[:, m - 1 :: -1]
 
 
-def odd_block(hess: np.ndarray) -> np.ndarray:
+def odd_block(rows: np.ndarray) -> np.ndarray:
     """The m x m odd block O = A - B J of a persymmetric curvature matrix.
 
-    Rows and columns follow the right-half sites from the middle out.
+    ``rows`` is the full matrix or just its last N - m rows (the middle
+    row for odd N, then the right half); only those rows are read.  Rows
+    and columns follow the right-half sites from the middle out.
     """
-    right, mirrored = _right_and_mirrored(hess)
+    right, mirrored = _right_and_mirrored(rows)
     return right - mirrored
 
 
-def even_block(hess: np.ndarray) -> np.ndarray:
+def even_block(rows: np.ndarray) -> np.ndarray:
     """The (N - m) x (N - m) even block of a persymmetric curvature matrix.
 
     A + B J, bordered for odd N by the middle site, which comes first and
-    whose off-diagonal row and column carry a factor sqrt 2.
+    whose off-diagonal row and column carry a factor sqrt 2.  Reads the
+    same rows as :func:`odd_block`.
     """
-    right, mirrored = _right_and_mirrored(hess)
-    n = hess.shape[0]
+    right, mirrored = _right_and_mirrored(rows)
+    n = rows.shape[1]
     if n % 2 == 0:
         return right + mirrored
     m = n // 2
+    middle_out = rows[m - n :]
     even = np.empty((m + 1, m + 1))
     even[1:, 1:] = right + mirrored
-    even[0, 0] = hess[m, m]
-    even[1:, 0] = even[0, 1:] = _ROOT2 * hess[n - m :, m]
+    even[0, 0] = middle_out[0, m]
+    even[1:, 0] = even[0, 1:] = _ROOT2 * middle_out[1:, m]
     return even
 
 

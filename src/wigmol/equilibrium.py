@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _parity
 from .errors import DegenerateHessian, InvalidScale, NoConvergence
-from .potential import SystemSpec, _gradient_and_hessian, potential_gradient, potential_value
+from .potential import SystemSpec, _gradient_and_hessian, potential_value
 
 BETA = "beta"
 ALPHA = "alpha"
@@ -24,8 +24,9 @@ LATTICE = "lattice"
 class Configuration:
     """Ordered equilibrium positions in scaled coordinates.
 
-    ``residual`` is the max-norm of the gradient at the solution; it is
-    zero by definition for the hard-core lattice.
+    ``residual`` is the max-norm of the gradient over the middle and
+    right-half sites at the solution (the left half mirrors them up to
+    roundoff); it is zero by definition for the hard-core lattice.
     """
 
     positions: np.ndarray
@@ -90,14 +91,18 @@ def _point(spec: SystemSpec) -> str:
     return f"N={spec.n_particles}, {label}"
 
 
-def _descend(spec: SystemSpec, half: np.ndarray, value: float, step: np.ndarray, grad_norm: float):
+def _descend(spec: SystemSpec, half: np.ndarray, value: float | None, step: np.ndarray, grad_norm: float):
     """Backtracking step on the right-half coordinates, or None if none is found.
 
-    Accepts once the value or the gradient max-norm drops.  ``value`` is
-    the landscape value at ``half``.  Returns the accepted candidate, its
-    value and, when the gradient test accepted it, the (gradient,
-    curvature) pair already computed there, so the next Newton point
-    reuses both instead of recomputing them.
+    Accepts the first candidate at which the gradient max-norm or the
+    landscape value drops.  Each candidate's (gradient, curvature) pass
+    comes first, since the next Newton point needs it anyway.  Values are
+    computed only for a candidate whose gradient does not drop; ``value``,
+    the value at ``half``, is computed then if it is None.  Returns the
+    accepted candidate, its value (None when the gradient test accepted
+    it) and its pass.  A candidate may overflow the pair powers; a
+    non-finite gradient or value fails both tests, so it is rejected
+    without a warning.
     """
     n = spec.n_particles
     scale = 1.0
@@ -105,11 +110,14 @@ def _descend(spec: SystemSpec, half: np.ndarray, value: float, step: np.ndarray,
         candidate = half + scale * step
         if _ordered(candidate):
             pos = _parity.unfold(candidate, n)
-            candidate_value = potential_value(spec, pos)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                landscape = _gradient_and_hessian(spec, pos)
+                if np.abs(landscape[0]).max() < grad_norm:
+                    return candidate, None, landscape
+                if value is None:
+                    value = potential_value(spec, _parity.unfold(half, n))
+                candidate_value = potential_value(spec, pos)
             if candidate_value < value:
-                return candidate, candidate_value, None
-            landscape = _gradient_and_hessian(spec, pos)
-            if np.abs(landscape[0]).max() < grad_norm:
                 return candidate, candidate_value, landscape
         scale *= 0.5
     return None
@@ -134,16 +142,21 @@ def solve_equilibrium(
 
     Damped Newton iteration on the N//2 right-half coordinates of the
     antisymmetric subspace, with the middle site pinned at zero for odd
-    N.  Gradient and curvature come from one pair pass per iterate; the
-    step solves only the odd parity block of the curvature, which is the
-    whole curvature on that subspace.  For the hard-core variant the
-    exact unit lattice is returned unchanged.
+    N.  Each iterate takes one pair pass over the middle and right-half
+    rows, which gives the gradient there and the curvature rows that the
+    parity blocks read; the step solves only the odd block, which is the
+    whole curvature on that subspace.  A backtracking line search accepts
+    the first candidate whose gradient max-norm or landscape value drops,
+    testing the gradient first: its pass is the next iterate's, and the
+    value is computed only when the gradient test fails.  For the
+    hard-core variant the exact unit lattice is returned unchanged.
 
     Parameters
     ----------
     spec : SystemSpec
     tol : float
-        Convergence threshold on the gradient max-norm.  Around 1e-12 is
+        Convergence threshold on the gradient max-norm over the middle and
+        right-half sites.  Around 1e-12 is
         reachable for moderate d; for very large exponents (d >~ 1e4) the
         power-law terms cannot be evaluated much better than d times
         machine epsilon, so a looser tol is required there.
@@ -176,18 +189,18 @@ def solve_equilibrium(
     kind = ALPHA if spec.interaction.is_log_limit else BETA
     # Newton pairs the gradient with the raw curvature, twice the log-limit convention
     grad_scale = 0.5 if spec.interaction.is_log_limit else 1.0
-    value = landscape = None
+    landscape = _gradient_and_hessian(spec, _parity.unfold(half, n))
+    value = None
     for iteration in range(1, max_iter + 1):
-        pos = _parity.unfold(half, n)
-        grad, hess = landscape or _gradient_and_hessian(spec, pos)
+        grad, hess = landscape
         residual = float(np.abs(grad).max())
         odd = _parity.odd_block(hess)
         if residual <= tol:
             _check_minimum(spec, _parity.even_block(hess), odd)
-            return Configuration(pos, kind, residual)
-        step = np.linalg.solve(odd, -grad_scale * _parity.fold(grad))
-        if value is None:
-            value = potential_value(spec, pos)
+            return Configuration(_parity.unfold(half, n), kind, residual)
+        # the entries run from the middle out; for odd N the first is the middle
+        # site's, zero by symmetry up to roundoff, and the step leaves it out
+        step = np.linalg.solve(odd, -grad_scale * grad[n % 2 :])
         accepted = _descend(spec, half, value, step, residual)
         if accepted is None:
             raise NoConvergence(
@@ -195,7 +208,7 @@ def solve_equilibrium(
                 f"in iteration {iteration} (gradient max-norm {residual:.3g}, tol {tol:g})"
             )
         half, value, landscape = accepted
-    residual = float(np.abs(potential_gradient(spec, _parity.unfold(half, n))).max())
+    residual = float(np.abs(landscape[0]).max())
     raise NoConvergence(
         f"{_point(spec)}: gradient max-norm {residual:.3g} still above tol {tol:g} "
         f"after {max_iter} Newton iterations"

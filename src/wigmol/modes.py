@@ -21,7 +21,7 @@ import numpy as np
 from . import _parity
 from .equilibrium import Configuration
 from .errors import NegativeEigenvalue, UnsupportedLimit
-from .potential import SystemSpec, potential_hessian
+from .potential import SystemSpec, _gradient_and_hessian
 
 _DEGENERACY_RTOL = 1e-12
 
@@ -91,8 +91,9 @@ def modes_from_hessian(hessian: np.ndarray) -> NormalModes:
 def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     """Normal modes at a solved configuration of the given system.
 
-    The curvature at the antisymmetric minimum is persymmetric, so it is
-    diagonalized as its even and odd parity blocks, each half the size.
+    The curvature at the antisymmetric minimum is persymmetric, so only
+    its middle and right-half rows are computed, and it is diagonalized
+    as its even and odd parity blocks, each half the size.
     Every mode row is exactly symmetric or antisymmetric under site
     reversal; its sign makes the largest entry positive, and because
     mirror entries are exact copies that entry always lies in the first
@@ -102,7 +103,7 @@ def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     """
     if spec.interaction.is_hard_core:
         raise UnsupportedLimit("the hard-core limit has no harmonic expansion")
-    hess = potential_hessian(spec, config.positions)
+    hess = _gradient_and_hessian(spec, config.positions)[1]
     even_values, even_vectors = np.linalg.eigh(_parity.even_block(hess))
     odd_values, odd_vectors = np.linalg.eigh(_parity.odd_block(hess))
     lowest = min(even_values[0], odd_values[0])

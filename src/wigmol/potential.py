@@ -102,13 +102,8 @@ def _reject_hard_core(spec: SystemSpec):
         raise UnsupportedLimit("the hard-core limit has no smooth potential")
 
 
-def _pair_pass(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One difference matrix for a landscape evaluation, after the input checks.
-
-    Returns (positions, pairwise differences, separations), both matrices
-    with a unit diagonal, rejecting the hard core, a wrong shape and
-    coincident pairs.
-    """
+def _checked(spec: SystemSpec, positions) -> np.ndarray:
+    """Positions as a float vector, rejecting the hard core, a wrong shape and coincident pairs."""
     _reject_hard_core(spec)
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
     n = spec.n_particles
@@ -117,36 +112,50 @@ def _pair_pass(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndarray, np.
     ordered = np.sort(pos)
     if (ordered[1:] == ordered[:-1]).any():
         raise CoincidentPositions("two particles share the same position")
-    diff = pos[:, None] - pos[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return pos, diff, np.abs(diff)
+    return pos
 
 
-def _gradient_and_hessian(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and curvature matrix from one pair pass.
+def _landscape_rows(spec: SystemSpec, positions, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient entries and curvature rows ``first:`` from one pair pass.
 
     Both come from one difference matrix and one power of the
     separations, ``sep**(-d - 2)`` (``1/diff`` in the log limit): the pair
     forces sum row-wise to the repulsive part of the gradient, and the
-    pair couplings are minus the off-diagonal curvature.
+    pair couplings are minus the off-diagonal curvature.  Each row is
+    computed and summed on its own, so it is bitwise the same whatever
+    ``first`` is.
     """
-    pos, diff, sep = _pair_pass(spec, positions)
-    # the pair matrices are fresh, so they are overwritten in place
+    pos = _checked(spec, positions)
+    diff = pos[first:, None] - pos[None, :]
+    # the pair matrices are fresh, so they are overwritten in place; their
+    # columns first: form a square block whose diagonal is the self-pair
+    np.fill_diagonal(diff[:, first:], 1.0)
     if spec.interaction.is_log_limit:
         inv = np.divide(1.0, diff, out=diff)
-        np.fill_diagonal(inv, 0.0)
-        grad = 2.0 * pos - 2.0 * inv.sum(axis=1)
-        coupling = np.multiply(inv, inv, out=sep)
+        np.fill_diagonal(inv[:, first:], 0.0)
+        grad = 2.0 * pos[first:] - 2.0 * inv.sum(axis=1)
+        coupling = np.multiply(inv, inv, out=inv)
     else:
         d = spec.interaction.d
+        sep = np.abs(diff)
         power = np.power(sep, -d - 2.0, out=sep)
-        np.fill_diagonal(power, 0.0)
-        grad = pos - d * np.multiply(diff, power, out=diff).sum(axis=1)
+        np.fill_diagonal(power[:, first:], 0.0)
+        grad = pos[first:] - d * np.multiply(diff, power, out=diff).sum(axis=1)
         coupling = np.multiply(power, d * (d + 1.0), out=power)
     diagonal = 1.0 + coupling.sum(axis=1)
     hess = np.negative(coupling, out=coupling)
-    np.fill_diagonal(hess, diagonal)
+    np.fill_diagonal(hess[:, first:], diagonal)
     return grad, hess
+
+
+def _gradient_and_hessian(spec: SystemSpec, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient entries and curvature rows of the middle and right-half sites.
+
+    Rows N//2 .. N - 1 of the full pass, bitwise: the middle site first
+    for odd N, then the right half.  At an antisymmetric configuration the
+    left half mirrors them, so these rows carry the whole landscape.
+    """
+    return _landscape_rows(spec, positions, spec.n_particles // 2)
 
 
 def potential_value(spec: SystemSpec, positions) -> float:
@@ -166,9 +175,9 @@ def potential_value(spec: SystemSpec, positions) -> float:
     UnsupportedLimit
         For the hard-core variant.
     """
-    pos, _, sep = _pair_pass(spec, positions)
+    pos = _checked(spec, positions)
     # ~tri keeps the row-major pair order of triu_indices(n, k=1)
-    pairs = sep[~np.tri(spec.n_particles, dtype=bool)]
+    pairs = np.abs((pos[:, None] - pos[None, :])[~np.tri(spec.n_particles, dtype=bool)])
     if spec.interaction.is_log_limit:
         return float((pos**2).sum() - np.log(pairs**2).sum())
     return float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())
@@ -180,7 +189,7 @@ def potential_gradient(spec: SystemSpec, positions) -> np.ndarray:
     At a solved equilibrium the max-norm of the result sits below the
     solver tolerance.  Raises like :func:`potential_value`.
     """
-    return _gradient_and_hessian(spec, positions)[0]
+    return _landscape_rows(spec, positions, 0)[0]
 
 
 def potential_hessian(spec: SystemSpec, positions) -> np.ndarray:
@@ -192,4 +201,4 @@ def potential_hessian(spec: SystemSpec, positions) -> np.ndarray:
     normal-mode analysis needs; it also fixes the uniform vector as an
     exact eigenvector with eigenvalue 1 for every variant.
     """
-    return _gradient_and_hessian(spec, positions)[1]
+    return _landscape_rows(spec, positions, 0)[1]

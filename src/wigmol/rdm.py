@@ -243,15 +243,23 @@ def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> Occupancy
     with np.errstate(divide="ignore", invalid="ignore"):
         rungs = np.ceil(np.log(target) / np.log(y)) - 1.0
     l_max = np.where(y < target, 0, np.clip(rungs, 0, _LADDER_CAP)).astype(int)
-    # every ladder is lam0 followed by l_max copies of y; seeding the
-    # cumulative product with lam0 keeps every rung exactly the previous
-    # one times y, even in floating point
-    factors = np.repeat(y, l_max + 1)
-    starts = np.cumsum(l_max + 1) - (l_max + 1)
-    factors[starts] = lam0
-    ladders = tuple(np.cumprod(seg) for seg in np.split(factors, starts[1:]))
-    tails = np.array([ladder[-1] for ladder in ladders]) * y / (1.0 - y)
-    purity = sum(site_purity(k) for k in kernels)
+    # each ladder is the running product of lam0 and l_max copies of y, one
+    # block per distinct l_max; the product runs along each row in turn, so
+    # every rung is exactly the previous one times y, even in floating point
+    ladders = [None] * n
+    last = np.empty(n)
+    # a set, not np.unique, whose first call imports numpy.ma (about 15 ms and 1 MB)
+    for length in set(l_max.tolist()):
+        sites = np.flatnonzero(l_max == length)
+        block = np.empty((sites.size, length + 1))
+        block[:, 0] = lam0[sites]
+        block[:, 1:] = y[sites, None]
+        np.cumprod(block, axis=1, out=block)
+        last[sites] = block[:, -1]
+        for site, ladder in zip(sites.tolist(), block):
+            ladders[site] = ladder
+    tails = last * y / (1.0 - y)
+    purity = sum((amplitude**2 * np.pi / eta).tolist())
     degree = 1.0 / purity
     return OccupancySpectrum(ladders, tails, purity, degree, (degree - n) / n)
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +10,7 @@ from wigmol import (
     SystemSpec,
     all_site_kernels,
     compute_modes,
+    equilibrium,
     lattice_guess,
     physical_centers,
     potential_value,
@@ -187,3 +190,31 @@ def test_start_of_wrong_length_rejected():
     spec = SystemSpec(4, Interaction.power_law(1.0))
     with pytest.raises(ValueError, match="expected 4 starting positions"):
         solve_equilibrium(spec, initial_positions=np.arange(5.0))
+
+
+@pytest.mark.parametrize("n", [10, 100, 250])
+def test_hermite_start_needs_no_landscape_value(n, monkeypatch):
+    # N = 10 and 100 stop at the start; N = 250 takes one Newton step, which
+    # lowers the gradient, so the line search never falls back to values
+    def refuse(*args):
+        raise AssertionError("potential_value was called")
+
+    monkeypatch.setattr(equilibrium, "potential_value", refuse)
+    config = solve_equilibrium(SystemSpec(n, Interaction.log_limit()))
+    assert config.residual <= 1e-12
+
+
+def test_overflowing_line_search_candidates_are_silent():
+    # at d = 1000 the first full Newton steps overflow the pair terms of the
+    # candidate's pass; such candidates are rejected without a RuntimeWarning
+    spec = SystemSpec(60, Interaction.power_law(1000.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = solve_equilibrium(spec, tol=1e-8)
+    assert config.residual <= 1e-8
+
+
+def test_exhausted_budget_reports_the_last_residual():
+    spec = SystemSpec(6, Interaction.power_law(6.0))
+    with pytest.raises(NoConvergence, match=r"gradient max-norm \S+ still above tol 1e-12 after 3 Newton"):
+        solve_equilibrium(spec, max_iter=3)

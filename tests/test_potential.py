@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wigmol import Interaction, SystemSpec, potential_gradient, potential_hessian, potential_value
+from wigmol import Interaction, SystemSpec, _parity, potential_gradient, potential_hessian, potential_value
 from wigmol.errors import CoincidentPositions, UnsupportedLimit
 from wigmol.oracle import fd_gradient, fd_jacobian, random_admissible_positions
+from wigmol.potential import _gradient_and_hessian
 
 ROOT_HALF = np.sqrt(2.0) / 2.0
 
@@ -143,3 +144,21 @@ def test_derivatives_match_finite_differences(token, n):
         if spec.interaction.is_log_limit:
             hess_fd = 0.5 * hess_fd
         assert np.max(np.abs(hess - hess_fd)) / max(1.0, np.max(np.abs(hess))) <= 1e-5
+
+
+@pytest.mark.parametrize("token", [1.0, 6.0, "log"])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 100])
+def test_row_pass_is_the_tail_of_the_full_pass(token, n):
+    # the solver and the mode analysis read only rows N//2.. of the landscape
+    spec = SystemSpec(n, Interaction.from_token(token))
+    rng = np.random.default_rng(n)
+    m = n // 2
+    unordered = rng.permutation(np.cumsum(rng.uniform(0.3, 1.0, n)) - 0.4 * n)
+    grad, rows = _gradient_and_hessian(spec, unordered)
+    assert np.array_equal(grad, potential_gradient(spec, unordered)[m:])
+    assert np.array_equal(rows, potential_hessian(spec, unordered)[m:])
+    chain = _parity.unfold(np.cumsum(rng.uniform(0.3, 1.0, m)), n)
+    rows = _gradient_and_hessian(spec, chain)[1]
+    full = potential_hessian(spec, chain)
+    assert np.array_equal(_parity.odd_block(rows), _parity.odd_block(full))
+    assert np.array_equal(_parity.even_block(rows), _parity.even_block(full))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -310,3 +312,24 @@ def test_site_purity_closed_form():
     for kernel in kernels:
         ladder = np.array([occupancy(kernel, l) for l in range(200)])
         assert_allclose(site_purity(kernel), float(np.sum(ladder**2)), rtol=1e-12)
+
+
+def test_ladders_are_running_products_per_site():
+    # sites with several distinct ladder lengths, one of them a bare l_max = 0
+    _, _, _, kernels = kernel_set(6, 1.0)
+    kernels = list(kernels) + [
+        dataclasses.replace(kernels[0], site=7, y=1e-14),
+        dataclasses.replace(kernels[1], site=8, y=0.6),
+        dataclasses.replace(kernels[2], site=9, y=0.01),
+    ]
+    spectrum = occupancy_spectrum(kernels)
+    amplitude, eta, y = np.array([(k.amplitude, k.eta, k.y) for k in kernels]).T
+    lam0 = amplitude * np.sqrt(np.pi * (1.0 - y**2) / eta)
+    sizes = [ladder.size for ladder in spectrum.ladders]
+    assert 1 in sizes and len(set(sizes)) >= 4
+    for ladder, first, ratio in zip(spectrum.ladders, lam0, y):
+        reference = np.cumprod(np.concatenate(([first], np.full(ladder.size - 1, ratio))))
+        assert np.array_equal(ladder, reference)
+        assert not ladder.flags.writeable
+    last = np.array([ladder[-1] for ladder in spectrum.ladders])
+    assert np.array_equal(spectrum.tail_bounds, last * y / (1.0 - y))
