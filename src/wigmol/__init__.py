@@ -43,6 +43,7 @@ from .potential import (
     potential_value,
 )
 from .rdm import (
+    KernelSet,
     OccupancySpectrum,
     SiteKernel,
     all_site_kernels,
@@ -62,6 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Configuration",
     "Interaction",
+    "KernelSet",
     "NormalModes",
     "OccupancySpectrum",
     "QuadratureSpec",

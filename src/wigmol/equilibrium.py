@@ -27,11 +27,16 @@ class Configuration:
     ``residual`` is the max-norm of the gradient over the middle and
     right-half sites at the solution (the left half mirrors them up to
     roundoff); it is zero by definition for the hard-core lattice.
+    ``iterations`` counts the Newton steps the solve took and
+    ``line_search_halvings`` the step halvings over all of them; both are
+    zero for a configuration no solve produced.
     """
 
     positions: np.ndarray
     coordinate_kind: str
     residual: float
+    iterations: int = 0
+    line_search_halvings: int = 0
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
@@ -75,14 +80,52 @@ def _hermite_zeros(n: int) -> np.ndarray:
     return np.linalg.svd(coupling, compute_uv=False)[::-1]
 
 
+# nodes of the trapezoid CDF of the continuum profile, over theta in [0, pi/2]
+_PROFILE_NODES = 129
+
+
+def _continuum_quantiles(n: int, d: float) -> np.ndarray:
+    """Right half of the quantiles i/(N + 1) of the Riesz-gas profile on [-1, 1].
+
+    The harmonically trapped Riesz gas has the large-N density
+    (1 - t**2)**gamma, with gamma = (1 + d)/2 for d < 1 and 1/d for d >= 1
+    (Agarwal et al., PRL 123 (2019) 100603).  Under t = sin(theta) the
+    integrand becomes cos(theta)**(2 gamma + 1), smooth up to the edge, so
+    a trapezoid CDF on a fixed grid of the half profile is accurate enough
+    for a start.  The quantile i/(N + 1) of the whole profile is the
+    quantile (2i - N - 1)/(N + 1) of its right half.
+    """
+    gamma = (1.0 + d) / 2.0 if d < 1.0 else 1.0 / d
+    theta = np.linspace(0.0, 0.5 * np.pi, _PROFILE_NODES)
+    weight = np.cos(theta) ** (2.0 * gamma + 1.0)
+    cdf = np.concatenate(([0.0], np.cumsum(weight[1:] + weight[:-1])))
+    sites = np.arange(n - n // 2 + 1, n + 1)
+    return np.sin(np.interp((2.0 * sites - n - 1.0) / (n + 1.0), cdf / cdf[-1], theta))
+
+
+def _virial_scaled(half: np.ndarray, n: int, d: float) -> np.ndarray:
+    """``half`` scaled onto the minimum of the landscape along its own ray.
+
+    V(s x) = s**2 X / 2 + s**-d S with X = sum x**2 and S = sum_{i<j}
+    sep**-d is stationary at s**(d + 2) = d S / X.  The factor is taken in
+    logs, so that sep**-d cannot overflow at large d.
+    """
+    pos = _parity.unfold(half, n)
+    log_terms = -d * np.log((pos[None, :] - pos[:, None])[~np.tri(n, dtype=bool)])
+    peak = log_terms.max()
+    log_pairs = peak + np.log(np.exp(log_terms - peak).sum())
+    log_scale = (np.log(d) + log_pairs - np.log(2.0 * (half**2).sum())) / (d + 2.0)
+    return half * np.exp(log_scale)
+
+
 def _initial_half(spec: SystemSpec) -> np.ndarray:
-    if spec.interaction.is_log_limit:
-        # the log-limit minimum is exactly the zeros of H_N (Stieltjes)
-        return _hermite_zeros(spec.n_particles)
-    lattice = _parity.fold(lattice_guess(spec.n_particles).positions)
-    d = spec.interaction.d
-    # (2d)**(1/(2+d)) is the exact two-particle separation
-    return lattice * (2.0 * d) ** (1.0 / (2.0 + d))
+    n = spec.n_particles
+    interaction = spec.interaction
+    if interaction.is_log_limit or interaction.d == 2.0:
+        # the zeros of H_N are the exact minimum of the log limit (Stieltjes)
+        # and of the inverse-square chain at scale 1 (Calogero)
+        return _hermite_zeros(n)
+    return _virial_scaled(_continuum_quantiles(n, interaction.d), n, interaction.d)
 
 
 def _point(spec: SystemSpec) -> str:
@@ -100,25 +143,25 @@ def _descend(spec: SystemSpec, half: np.ndarray, value: float | None, step: np.n
     computed only for a candidate whose gradient does not drop; ``value``,
     the value at ``half``, is computed then if it is None.  Returns the
     accepted candidate, its value (None when the gradient test accepted
-    it) and its pass.  A candidate may overflow the pair powers; a
-    non-finite gradient or value fails both tests, so it is rejected
-    without a warning.
+    it), its pass and the number of step halvings before it.  A candidate
+    may overflow the pair powers; a non-finite gradient or value fails
+    both tests, so it is rejected without a warning.
     """
     n = spec.n_particles
     scale = 1.0
-    for _ in range(60):
+    for halvings in range(60):
         candidate = half + scale * step
         if _ordered(candidate):
             pos = _parity.unfold(candidate, n)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 landscape = _gradient_and_hessian(spec, pos)
                 if np.abs(landscape[0]).max() < grad_norm:
-                    return candidate, None, landscape
+                    return candidate, None, landscape, halvings
                 if value is None:
                     value = potential_value(spec, _parity.unfold(half, n))
                 candidate_value = potential_value(spec, pos)
             if candidate_value < value:
-                return candidate, candidate_value, landscape
+                return candidate, candidate_value, landscape, halvings
         scale *= 0.5
     return None
 
@@ -165,8 +208,13 @@ def solve_equilibrium(
     initial_positions : array_like, optional
         Starting point override; its antisymmetric part is used.  The
         default is the zeros of the Hermite polynomial H_N for the log
-        limit, which are its exact minimum, and the unit lattice scaled to
-        the exact two-particle separation for a power law.
+        limit and for d = 2, which are their exact minima.  Any other power
+        law starts at the quantiles i/(N + 1) of the large-N density of
+        the trapped Riesz gas, (1 - t**2)**((1 + d)/2) for d < 1 and
+        (1 - t**2)**(1/d) for d >= 1, scaled by the exact virial factor
+        onto the landscape's minimum along that ray.  For N = 2 and 3 this
+        ray is the whole antisymmetric subspace, so the start is the
+        minimum itself.
 
     Raises
     ------
@@ -191,13 +239,14 @@ def solve_equilibrium(
     grad_scale = 0.5 if spec.interaction.is_log_limit else 1.0
     landscape = _gradient_and_hessian(spec, _parity.unfold(half, n))
     value = None
+    halvings = 0
     for iteration in range(1, max_iter + 1):
         grad, hess = landscape
         residual = float(np.abs(grad).max())
         odd = _parity.odd_block(hess)
         if residual <= tol:
             _check_minimum(spec, _parity.even_block(hess), odd)
-            return Configuration(_parity.unfold(half, n), kind, residual)
+            return Configuration(_parity.unfold(half, n), kind, residual, iteration - 1, halvings)
         # the entries run from the middle out; for odd N the first is the middle
         # site's, zero by symmetry up to roundoff, and the step leaves it out
         step = np.linalg.solve(odd, -grad_scale * grad[n % 2 :])
@@ -207,7 +256,8 @@ def solve_equilibrium(
                 f"{_point(spec)}: Newton line search found no acceptable step "
                 f"in iteration {iteration} (gradient max-norm {residual:.3g}, tol {tol:g})"
             )
-        half, value, landscape = accepted
+        half, value, landscape, step_halvings = accepted
+        halvings += step_halvings
     residual = float(np.abs(landscape[0]).max())
     raise NoConvergence(
         f"{_point(spec)}: gradient max-norm {residual:.3g} still above tol {tol:g} "

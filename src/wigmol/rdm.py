@@ -16,6 +16,11 @@ solved chain are exactly even or odd, so mirror columns of U**2 are equal
 and the column sums, taken row by row, give mirror sites bitwise
 identical kernels.
 
+:func:`all_site_kernels` returns all sites as one :class:`KernelSet`, one
+read-only site-ordered array per parameter, whose items are
+:class:`SiteKernel` views built on demand; :func:`occupancy_spectrum`
+reads its arrays directly.
+
 Such a kernel diagonalizes in closed form: its eigenfunctions are
 Hermite-Gaussian orbitals of width parameter eta = sqrt(4a**2 - b**2)
 about the site center, and the occupancies form a geometric ladder
@@ -30,6 +35,8 @@ the state is from an N-orbital description.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,15 +67,73 @@ class SiteKernel:
         return self.eta**-0.5
 
 
+_KERNEL_ARRAYS = ("center", "amplitude", "a", "b", "eta", "y")
+
+
+@dataclass(frozen=True, eq=False)
+class KernelSet(Sequence):
+    """Kernel parameters of every site as read-only site-ordered arrays.
+
+    Entry k of each array belongs to site k + 1.  As a sequence it yields
+    :class:`SiteKernel` views, built only when an item is asked for, so
+    code written for per-site kernels reads a set unchanged.
+    """
+
+    center: np.ndarray
+    amplitude: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    eta: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        arrays = [np.array(getattr(self, name), dtype=float) for name in _KERNEL_ARRAYS]
+        if any(arr.ndim != 1 or arr.shape != arrays[0].shape for arr in arrays):
+            raise ValueError("kernel parameters must be 1-d arrays of equal length")
+        for name, arr in zip(_KERNEL_ARRAYS, arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_kernels(cls, kernels) -> KernelSet:
+        """Pack an iterable of kernels as sites 1, 2, ... in iteration order."""
+        if isinstance(kernels, cls):
+            return kernels
+        rows = [(k.center, k.amplitude, k.a, k.b, k.eta, k.y) for k in kernels]
+        return cls(*np.array(rows, dtype=float).reshape(-1, len(_KERNEL_ARRAYS)).T)
+
+    def __len__(self) -> int:
+        return self.center.size
+
+    def __getitem__(self, index) -> SiteKernel:
+        k = range(len(self))[operator.index(index)]
+        return SiteKernel(k + 1, *(float(getattr(self, name)[k]) for name in _KERNEL_ARRAYS))
+
+    def __iter__(self):
+        rows = zip(*(getattr(self, name).tolist() for name in _KERNEL_ARRAYS))
+        return (SiteKernel(site, *row) for site, row in enumerate(rows, start=1))
+
+
 def _precision_diagonals(modes: NormalModes, columns: slice) -> tuple[np.ndarray, np.ndarray]:
     """diag M = v @ U**2 and diag inv(M) = (1/v) @ U**2 on the given sites.
 
-    Summed row by row rather than by a matrix-vector product, so equal
-    columns of U**2 give bitwise equal sums whatever their position.
+    Each column is summed in row order rather than by a matrix-vector
+    product, so equal columns of U**2 give bitwise equal sums whatever
+    their position, and one site's sums are bitwise those it gets among
+    all sites.  The two weighted matrices are made one after the other,
+    so only one of them is alive at a time.
     """
     weights = modes.mode_matrix[:, columns] ** 2
     freqs = modes.frequencies[:, None]
-    return (freqs * weights).sum(axis=0), ((1.0 / freqs) * weights).sum(axis=0)
+    return _column_sums(freqs * weights), _column_sums((1.0 / freqs) * weights)
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    # numpy sums axis 0 of a 2-d array row by row but a single column
+    # pairwise, so a single column takes the running sum, which is row by row
+    if terms.shape[1] == 1:
+        return np.cumsum(terms, axis=0)[-1]
+    return terms.sum(axis=0)
 
 
 def _kernel_parameters(diag_m: np.ndarray, diag_m_inv: np.ndarray, n: int, first_site: int):
@@ -123,7 +188,7 @@ def site_kernel(modes: NormalModes, config: Configuration, site: int) -> SiteKer
     return SiteKernel(site, float(config.positions[idx]), amplitude, a, b, eta, y)
 
 
-def all_site_kernels(modes: NormalModes, config: Configuration) -> tuple[SiteKernel, ...]:
+def all_site_kernels(modes: NormalModes, config: Configuration) -> KernelSet:
     """Kernels for every site from two weighted column sums of the modes.
 
     The modes of a solved chain are exactly even or odd under reflection,
@@ -137,8 +202,7 @@ def all_site_kernels(modes: NormalModes, config: Configuration) -> tuple[SiteKer
     """
     n = config.n_particles
     params = _kernel_parameters(*_precision_diagonals(modes, slice(None)), n, 1)
-    rows = np.column_stack((config.positions, *params)).tolist()
-    return tuple(SiteKernel(site, *row) for site, row in enumerate(rows, start=1))
+    return KernelSet(config.positions, *params)
 
 
 def kernel_value(kernel: SiteKernel, x, x_prime) -> np.ndarray:
@@ -233,11 +297,13 @@ def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> Occupancy
     The purity is summed in closed form over the sites; each ladder is
     truncated at the smallest l_max whose analytic geometric tail
     lambda_0 * y**(l_max + 1) / (1 - y) drops below ``tail_tol``, capped
-    at ``_LADDER_CAP`` rungs.
+    at ``_LADDER_CAP`` rungs.  ``kernels`` is a :class:`KernelSet`, whose
+    arrays are read directly, or any iterable of kernels, which is packed
+    into one first.
     """
-    kernels = tuple(kernels)
+    kernels = KernelSet.from_kernels(kernels)
     n = len(kernels)
-    amplitude, eta, y = np.array([(k.amplitude, k.eta, k.y) for k in kernels]).T
+    amplitude, eta, y = kernels.amplitude, kernels.eta, kernels.y
     lam0 = amplitude * np.sqrt(np.pi * (1.0 - y**2) / eta)
     target = tail_tol * (1.0 - y) / lam0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -16,6 +16,7 @@ from wigmol import (
     potential_value,
     solve_equilibrium,
 )
+from wigmol import _parity
 from wigmol.equilibrium import ALPHA, BETA, LATTICE
 from wigmol.errors import InvalidScale, NoConvergence
 
@@ -218,3 +219,96 @@ def test_exhausted_budget_reports_the_last_residual():
     spec = SystemSpec(6, Interaction.power_law(6.0))
     with pytest.raises(NoConvergence, match=r"gradient max-norm \S+ still above tol 1e-12 after 3 Newton"):
         solve_equilibrium(spec, max_iter=3)
+
+
+def test_overflowing_candidates_from_a_lattice_start_are_silent():
+    # the scaled unit lattice is far enough from the d = 1000 minimum that
+    # full Newton steps overflow sep**(-d - 2); the line search halves them
+    n, d = 60, 1000.0
+    start = lattice_guess(n).positions * (2.0 * d) ** (1.0 / (2.0 + d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = solve_equilibrium(SystemSpec(n, Interaction.power_law(d)), tol=1e-8, initial_positions=start)
+    assert config.residual <= 1e-8
+    assert config.line_search_halvings > 0
+
+
+def test_unsolved_configurations_record_no_work():
+    assert lattice_guess(5).iterations == 0
+    assert lattice_guess(5).line_search_halvings == 0
+    config = solve_equilibrium(SystemSpec(7, Interaction.hard_core()))
+    assert (config.iterations, config.line_search_halvings) == (0, 0)
+
+
+def _start(n, d):
+    return _parity.unfold(equilibrium._initial_half(SystemSpec(n, Interaction.power_law(d))), n)
+
+
+@pytest.mark.parametrize("d", [0.3, 1.0, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("n", [2, 3, 10, 51, 400])
+def test_start_is_ordered_antisymmetric_and_virial_stationary(n, d):
+    # V(s x) is stationary in s at s = 1 exactly when d * sum sep**-d = sum x**2
+    x = _start(n, d)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    sep = (x[None, :] - x[:, None])[np.triu_indices(n, 1)]
+    assert abs(np.log(d * np.sum(sep**-d)) - np.log(np.sum(x**2))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("n", [5, 50, 400])
+def test_start_at_large_d_is_finite_and_silent(n, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _start(n, d)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    if d >= 1e4:
+        # the virial scale sets the closest pair near the hard-core spacing 1
+        assert abs(np.diff(x).min() - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("d", [0.3, 1.0, 6.0, 1e4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_few_particle_start_is_the_minimum(n, d):
+    # one free coordinate: the virial scale is the minimum along it
+    config = solve_equilibrium(SystemSpec(n, Interaction.power_law(d)))
+    assert config.iterations == 0
+
+
+@pytest.mark.parametrize(("n", "d"), [(10, 0.3), (31, 0.3), (150, 0.3), (10, 1.0), (31, 1.0), (10, 3.0), (31, 3.0)])
+def test_continuum_start_needs_few_newton_steps(n, d):
+    config = solve_equilibrium(SystemSpec(n, Interaction.power_law(d)))
+    assert config.iterations <= 5
+
+
+@pytest.mark.parametrize("n", [5, 20, 40, 60])
+def test_inverse_square_chain_starts_at_its_minimum(n):
+    config = solve_equilibrium(SystemSpec(n, Interaction.power_law(2.0)))
+    assert config.iterations <= 1
+
+
+def _profile_cdf(d):
+    """The Riesz-gas profile (1 - t**2)**gamma on [-1, 1], its CDF and its second moment."""
+    gamma = (1.0 + d) / 2.0 if d < 1.0 else 1.0 / d
+    t = np.linspace(-1.0, 1.0, 200_001)
+    density = (1.0 - t**2) ** gamma
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]))))
+    return t, cdf / cdf[-1], 1.0 / (2.0 * gamma + 3.0)
+
+
+@pytest.mark.parametrize("d", [0.3, 1.0, 3.0])
+def test_solved_chain_approaches_the_continuum_profile(d):
+    # the largest gap between the profile's CDF at the solved sites (scaled to
+    # the profile's second moment) and the site fractions i/(N + 1) shrinks with N
+    t, cdf, second_moment = _profile_cdf(d)
+    distances = []
+    for n in (10, 40, 160):
+        x = solve_equilibrium(SystemSpec(n, Interaction.power_law(d)), tol=1e-9).positions
+        edge = np.sqrt(np.mean(x**2) / second_moment)
+        fractions = np.arange(1, n + 1) / (n + 1.0)
+        distance = np.max(np.abs(np.interp(x / edge, t, cdf) - fractions))
+        assert distance <= 0.6 / n**0.75
+        distances.append(distance)
+    assert distances[0] > distances[1] > distances[2]

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import kernel_set, solved
 from wigmol import (
+    KernelSet,
     NormalModes,
     SiteKernel,
     all_site_kernels,
@@ -333,3 +334,54 @@ def test_ladders_are_running_products_per_site():
         assert not ladder.flags.writeable
     last = np.array([ladder[-1] for ladder in spectrum.ladders])
     assert np.array_equal(spectrum.tail_bounds, last * y / (1.0 - y))
+
+
+@pytest.mark.parametrize("token", [0.5, 1.0, "log"])
+@pytest.mark.parametrize("n", [2, 7, 12, 33])
+def test_kernel_set_views_are_site_kernels(token, n):
+    spec, config = solved(n, token)
+    modes = compute_modes(spec, config)
+    kernels = all_site_kernels(modes, config)
+    assert isinstance(kernels, KernelSet)
+    assert len(kernels) == n
+    for site in range(1, n + 1):
+        direct = site_kernel(modes, config, site)
+        assert kernels[site - 1] == direct  # dataclass equality: every field bitwise
+        assert kernels[site - 1 - n] == direct
+    assert list(kernels) == [site_kernel(modes, config, site) for site in range(1, n + 1)]
+    with pytest.raises(IndexError):
+        kernels[n]
+    with pytest.raises(IndexError):
+        kernels[-n - 1]
+
+
+def test_kernel_set_arrays_are_read_only():
+    _, _, _, kernels = kernel_set(5, 1.0)
+    for name in ("center", "amplitude", "a", "b", "eta", "y"):
+        array = getattr(kernels, name)
+        assert array.shape == (5,)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    source = np.arange(3.0)
+    packed = KernelSet(source, source, source, source, source, source)
+    source[0] = 7.0
+    assert packed.center[0] == 0.0
+    with pytest.raises(ValueError, match="equal length"):
+        KernelSet(source, source, source, source, source, source[:2])
+
+
+@pytest.mark.parametrize("token", [0.5, 2.0, "log"])
+@pytest.mark.parametrize("n", [2, 9, 40])
+def test_spectrum_is_the_same_from_a_set_and_from_its_views(token, n):
+    _, _, _, kernels = kernel_set(n, token)
+    from_set = occupancy_spectrum(kernels)
+    from_views = occupancy_spectrum(list(kernels))
+    assert len(from_set.ladders) == len(from_views.ladders) == n
+    for ladder, other in zip(from_set.ladders, from_views.ladders):
+        assert np.array_equal(ladder, other)
+    assert np.array_equal(from_set.tail_bounds, from_views.tail_bounds)
+    assert from_set.purity == from_views.purity
+    assert from_set.degree_of_correlation == from_views.degree_of_correlation
+    assert from_set.delta_k == from_views.delta_k
+    assert KernelSet.from_kernels(kernels) is kernels
