@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _parity
 from .errors import DegenerateHessian, InvalidScale, NoConvergence
-from .potential import SystemSpec, _gradient_and_hessian, potential_value
+from .potential import SystemSpec, _gradient_and_hessian, _pair_mask, potential_value
 
 BETA = "beta"
 ALPHA = "alpha"
@@ -111,7 +111,7 @@ def _virial_scaled(half: np.ndarray, n: int, d: float) -> np.ndarray:
     logs, so that sep**-d cannot overflow at large d.
     """
     pos = _parity.unfold(half, n)
-    log_terms = -d * np.log((pos[None, :] - pos[:, None])[~np.tri(n, dtype=bool)])
+    log_terms = -d * np.log((pos[None, :] - pos[:, None])[_pair_mask(n)])
     peak = log_terms.max()
     log_pairs = peak + np.log(np.exp(log_terms - peak).sum())
     log_scale = (np.log(d) + log_pairs - np.log(2.0 * (half**2).sum())) / (d + 2.0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parity
-from .equilibrium import Configuration
+from .equilibrium import Configuration, _point
 from .errors import NegativeEigenvalue, UnsupportedLimit
 from .potential import SystemSpec, _gradient_and_hessian
 
@@ -99,16 +99,18 @@ def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     mirror entries are exact copies that entry always lies in the first
     half (or at the middle site).  Frequencies are merged in ascending
     order.  Raises NegativeEigenvalue if either block has a non-positive
-    eigenvalue.
+    eigenvalue; its message names N, the interaction and the block.
     """
     if spec.interaction.is_hard_core:
         raise UnsupportedLimit("the hard-core limit has no harmonic expansion")
     hess = _gradient_and_hessian(spec, config.positions)[1]
     even_values, even_vectors = np.linalg.eigh(_parity.even_block(hess))
     odd_values, odd_vectors = np.linalg.eigh(_parity.odd_block(hess))
-    lowest = min(even_values[0], odd_values[0])
+    lowest, block = min((even_values[0], "even"), (odd_values[0], "odd"))
     if lowest <= 0:
-        raise NegativeEigenvalue(f"smallest curvature eigenvalue is {lowest:g}")
+        raise NegativeEigenvalue(
+            f"smallest curvature eigenvalue is {lowest:g}, in the {block} parity block at {_point(spec)}"
+        )
     frequencies = np.sqrt(np.concatenate((even_values, odd_values)))
     order = np.argsort(frequencies, kind="stable")
     rows = _parity.unfold_rows(even_vectors, odd_vectors)[order]

@@ -10,6 +10,7 @@ over the right-half coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,30 @@ class QuadratureSpec:
             raise ValueError("points_per_dim must be at least 2")
         if not self.grid_halfwidth > 0:
             raise ValueError("grid_halfwidth must be positive")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=16)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights of one order, built once and read-only."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    return _read_only(nodes), _read_only(weights)
+
+
+@functools.lru_cache(maxsize=4)
+def _tensor_rule(order: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Hermite nodes (one row per point, first coordinate slowest) and weights, read-only."""
+    nodes, weights = _hermite_rule(order)
+    grids = np.meshgrid(*([nodes] * dims), indexing="ij")
+    t = np.stack([g.ravel() for g in grids], axis=1)
+    weight = np.ones(t.shape[0])
+    for g in np.meshgrid(*([weights] * dims), indexing="ij"):
+        weight = weight * g.ravel()
+    return _read_only(t), _read_only(weight)
 
 
 def quadrature_kernel(
@@ -69,12 +94,7 @@ def quadrature_kernel(
     block = precision[np.ix_(rest, rest)]
     block_eigs, block_vecs = np.linalg.eigh(block)
 
-    nodes, weights = np.polynomial.hermite.hermgauss(quad.points_per_dim)
-    grids = np.meshgrid(*([nodes] * (n - 1)), indexing="ij")
-    t = np.stack([g.ravel() for g in grids], axis=1)
-    weight = np.ones(t.shape[0])
-    for g in np.meshgrid(*([weights] * (n - 1)), indexing="ij"):
-        weight = weight * g.ravel()
+    t, weight = _tensor_rule(quad.points_per_dim, n - 1)
     off_site = (t / np.sqrt(block_eigs)) @ block_vecs.T
 
     def log_amplitude(points: np.ndarray) -> np.ndarray:
@@ -227,7 +247,7 @@ def momentum_quadrature(kernels, k: float, points: int = 60) -> float:
     tensor Gauss-Hermite rule, as an independent check of the analytic
     per-site Fourier transform.
     """
-    nodes, weights = np.polynomial.hermite.hermgauss(points)
+    nodes, weights = _hermite_rule(points)
     mesh_s, mesh_sp = np.meshgrid(nodes, nodes, indexing="ij")
     weight = np.outer(weights, weights)
     total = 0.0

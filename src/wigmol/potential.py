@@ -19,6 +19,7 @@ callers special-case it (its equilibrium is the unit lattice).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,10 +110,24 @@ def _checked(spec: SystemSpec, positions) -> np.ndarray:
     n = spec.n_particles
     if pos.shape != (n,):
         raise ValueError(f"expected {n} positions, got shape {pos.shape}")
-    ordered = np.sort(pos)
-    if (ordered[1:] == ordered[:-1]).any():
-        raise CoincidentPositions("two particles share the same position")
+    # strictly increasing input is distinct as it stands; anything else
+    # (unordered, NaN, repeated infinities) is sorted and its neighbours compared
+    if not (pos[1:] > pos[:-1]).all():
+        ordered = np.sort(pos)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise CoincidentPositions("two particles share the same position")
     return pos
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_mask(n: int) -> np.ndarray:
+    """Read-only i < j mask of an n-by-n pair matrix, built once per size.
+
+    ``~tri`` keeps the row-major pair order of ``triu_indices(n, k=1)``.
+    """
+    mask = ~np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def _landscape_rows(spec: SystemSpec, positions, first: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,8 +191,7 @@ def potential_value(spec: SystemSpec, positions) -> float:
         For the hard-core variant.
     """
     pos = _checked(spec, positions)
-    # ~tri keeps the row-major pair order of triu_indices(n, k=1)
-    pairs = np.abs((pos[:, None] - pos[None, :])[~np.tri(spec.n_particles, dtype=bool)])
+    pairs = np.abs((pos[:, None] - pos[None, :])[_pair_mask(spec.n_particles)])
     if spec.interaction.is_log_limit:
         return float((pos**2).sum() - np.log(pairs**2).sum())
     return float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +251,17 @@ def test_verify_failure_exits_3(monkeypatch, capsys):
     status, out, _ = run(["verify"], capsys)
     assert status == 3
     assert out == "FAIL synthetic check (max abs 1.00e+00)\n"
+
+
+def test_python_dash_m_runs_the_same_command_line(capsys):
+    source = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    argv = ["equilibrium", "--n", "3", "--d", "1"]
+    done = subprocess.run([sys.executable, "-m", "wigmol", *argv], capture_output=True, env=env, check=False)
+    status, out, _ = run(argv, capsys)
+    assert done.returncode == status == 0
+    assert done.stdout == out.encode()
+    bad_argv = [sys.executable, "-m", "wigmol", *argv, "--no-such-flag"]
+    bad = subprocess.run(bad_argv, capture_output=True, env=env, check=False)
+    assert bad.returncode == 2
+    assert b"--no-such-flag" in bad.stderr

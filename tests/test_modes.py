@@ -14,6 +14,7 @@ from wigmol import (
     solve_equilibrium,
 )
 from wigmol import _parity
+from wigmol import modes as modes_module
 from wigmol.errors import DegenerateHessian, NegativeEigenvalue, UnsupportedLimit
 from wigmol.oracle import fd_jacobian
 
@@ -116,6 +117,24 @@ def test_saddle_raises_degenerate_hessian():
         modes_from_hessian(saddle)
     with pytest.raises(DegenerateHessian):
         modes_from_hessian(saddle)
+
+
+@pytest.mark.parametrize("n,token,label", [(4, 1.0, "N=4, d=1"), (5, "log", "N=5, log limit")])
+def test_negative_curvature_names_its_point_and_block(monkeypatch, n, token, label):
+    spec, config = solved(n, token)
+    grad, hess = modes_module._gradient_and_hessian(spec, config.positions)
+    # negated, the block holding the largest curvature eigenvalue has the lowest one
+    tops = {
+        "even": np.linalg.eigvalsh(_parity.even_block(hess))[-1],
+        "odd": np.linalg.eigvalsh(_parity.odd_block(hess))[-1],
+    }
+    block = max(tops, key=tops.get)
+    monkeypatch.setattr(modes_module, "_gradient_and_hessian", lambda spec, positions: (grad, -hess))
+    with pytest.raises(NegativeEigenvalue) as failure:
+        compute_modes(spec, config)
+    message = str(failure.value)
+    assert message.startswith(f"smallest curvature eigenvalue is {-tops[block]:g}")
+    assert f"{block} parity block at {label}" in message
 
 
 def test_hard_core_has_no_modes():

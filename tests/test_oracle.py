@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,13 +9,18 @@ from wigmol import (
     Interaction,
     QuadratureSpec,
     SystemSpec,
+    ground_state_precision,
     independent_minimum,
     kernel_value,
+    momentum_quadrature,
     natural_orbital,
     nystrom_grid,
     nystrom_occupancies,
     occupancy,
+    oracle,
+    potential,
     potential_gradient,
+    potential_value,
     quadrature_kernel,
     site_density,
 )
@@ -71,6 +78,91 @@ def test_quadrature_dimension_limit():
     _, config, modes, _ = kernel_set(5, 2.0)
     with pytest.raises(DimensionTooLarge):
         quadrature_kernel(modes, config, 1, 0.0, 0.0)
+
+
+@pytest.fixture
+def hermgauss_builds(monkeypatch):
+    """Counts of Gauss-Hermite rules built per order, starting from empty rule caches."""
+    oracle._hermite_rule.cache_clear()
+    oracle._tensor_rule.cache_clear()
+    builds = collections.Counter()
+    build = np.polynomial.hermite.hermgauss
+
+    def counted(order):
+        builds[order] += 1
+        return build(order)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+    yield builds
+    oracle._hermite_rule.cache_clear()
+    oracle._tensor_rule.cache_clear()
+
+
+def test_each_gauss_hermite_rule_is_built_once(hermgauss_builds):
+    _, config, modes, kernels = kernel_set(3, 1.0)
+    _, config_2, modes_2, _ = kernel_set(2, 1.0)
+    for x in np.linspace(-0.5, 0.5, 5):
+        quadrature_kernel(modes, config, 2, x, -x)
+        quadrature_kernel(modes, config, 1, x, x, QuadratureSpec(20))
+        quadrature_kernel(modes_2, config_2, 1, x, x)
+        momentum_quadrature(kernels, x)
+    assert hermgauss_builds == {40: 1, 20: 1, 60: 1}
+
+
+def test_cached_rules_and_pair_mask_are_read_only():
+    arrays = [*oracle._hermite_rule(40), *oracle._tensor_rule(40, 2), potential._pair_mask(5)]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def _uncached_quadrature_kernel(modes, config, site, x, x_prime, order=40):
+    """The site-kernel integral with its tensor Gauss-Hermite rule built inline."""
+    n = config.n_particles
+    idx = site - 1
+    rest = [j for j in range(n) if j != idx]
+    block_eigs, block_vecs = np.linalg.eigh(ground_state_precision(modes)[np.ix_(rest, rest)])
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    t = np.stack([g.ravel() for g in np.meshgrid(*([nodes] * (n - 1)), indexing="ij")], axis=1)
+    weight = np.ones(t.shape[0])
+    for g in np.meshgrid(*([weights] * (n - 1)), indexing="ij"):
+        weight = weight * g.ravel()
+    freqs, rows = modes.frequencies, modes.mode_matrix
+
+    def log_amplitude(points):
+        return 0.25 * np.sum(np.log(freqs / np.pi)) - 0.5 * ((points @ rows.T) ** 2) @ freqs
+
+    z = np.empty((t.shape[0], n))
+    z[:, rest] = (t / np.sqrt(block_eigs)) @ block_vecs.T
+    z[:, idx] = x - config.positions[idx]
+    z_prime = z.copy()
+    z_prime[:, idx] = x_prime - config.positions[idx]
+    exponent = log_amplitude(z) + log_amplitude(z_prime) + np.sum(t**2, axis=1)
+    return float(weight @ np.exp(exponent)) * float(np.prod(1.0 / np.sqrt(block_eigs))) / n
+
+
+def test_quadrature_kernel_is_bitwise_the_uncached_integral():
+    _, config, modes, kernels = kernel_set(3, 1.0)
+    grid = np.linspace(-2.0, 2.0, 5) * kernels[1].width
+    for x in grid:
+        for x_prime in grid:
+            direct = quadrature_kernel(modes, config, 2, x, x_prime)
+            assert direct == _uncached_quadrature_kernel(modes, config, 2, x, x_prime)
+
+
+@pytest.mark.parametrize("token", [1.0, "log"])
+@pytest.mark.parametrize("n", [2, 3, 7, 100])
+def test_potential_value_is_bitwise_the_tri_gather(n, token):
+    spec = SystemSpec(n, Interaction.from_token(token))
+    rng = np.random.default_rng(n)
+    for pos in (np.sort(rng.uniform(-n, n, size=n)), rng.permutation(np.linspace(-n, n, n))):
+        pairs = np.abs((pos[:, None] - pos[None, :])[~np.tri(n, dtype=bool)])
+        if spec.interaction.is_log_limit:
+            expected = float((pos**2).sum() - np.log(pairs**2).sum())
+        else:
+            expected = float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())
+        assert potential_value(spec, pos) == expected
+    assert np.array_equal(potential._pair_mask(n), ~np.tri(n, dtype=bool))
 
 
 def test_nystrom_recovers_the_ladder():

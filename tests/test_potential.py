@@ -59,6 +59,20 @@ def test_unsorted_coincident_positions_rejected(token, positions):
             func(spec, positions)
 
 
+@pytest.mark.parametrize("token", [1.0, "log"])
+def test_unordered_and_non_finite_inputs_take_the_sorted_check(token):
+    spec = SystemSpec(3, Interaction.from_token(token))
+    for positions in ([0.0, np.inf, np.inf], [-np.inf, -np.inf, 0.0], [np.inf, 0.0, np.inf]):
+        for func in (potential_value, potential_gradient, potential_hessian):
+            with pytest.raises(CoincidentPositions):
+                func(spec, positions)
+    # NaN compares unequal to everything, so it is never a coincident pair
+    for positions in ([0.0, np.nan, 1.0], [np.nan, np.nan, 0.0]):
+        assert np.isnan(potential_value(spec, positions))
+        assert np.isnan(potential_gradient(spec, positions)).all()
+    assert potential_value(spec, [2.0, 1.0, 0.0]) == potential_value(spec, [0.0, 1.0, 2.0])
+
+
 def test_hard_core_rejected_everywhere():
     spec = SystemSpec(2, Interaction.hard_core())
     for func in (potential_value, potential_gradient, potential_hessian):
