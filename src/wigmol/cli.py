@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
+import itertools
 import json
 import sys
 
@@ -54,7 +54,7 @@ def _parse_int_list(text: str) -> list[int]:
     return sorted(set(values))
 
 
-def _parse_real_grid(text: str) -> list[float]:
+def _parse_real_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise _BadRequest(f"grids use start:stop:step, got {text!r}")
@@ -66,8 +66,8 @@ def _parse_real_grid(text: str) -> list[float]:
     count = np.floor((stop - start) / step + 1e-9) + 1
     if not count <= _MAX_GRID_POINTS:
         raise _BadRequest(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-    count = int(count)
-    return [start + i * step for i in range(count)]
+    # float(i) is exact, so point i is bitwise the scalar start + i * step
+    return start + np.arange(int(count)) * step
 
 
 def _d_sort_key(token):
@@ -85,7 +85,7 @@ def _parse_d_list(text: str) -> list:
         if token in (LOG_TOKEN, INF_TOKEN):
             values.append(token)
         elif ":" in token:
-            values.extend(_parse_real_grid(token))
+            values.extend(_parse_real_grid(token).tolist())
         else:
             try:
                 d = float(token)
@@ -105,6 +105,11 @@ def _single(values, label):
     return values[0]
 
 
+def _one_point(args) -> tuple:
+    """The one particle number and one exponent token of a single-point command."""
+    return _single(_parse_int_list(args.n), "particle number"), _single(_parse_d_list(args.d), "exponent")
+
+
 def _d_token(token) -> str:
     return token if isinstance(token, str) else format(float(token), ".17g")
 
@@ -113,36 +118,35 @@ def _d_token(token) -> str:
 # output
 
 
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _cells(column, fmt: str) -> list[str]:
+    """One column's fields: JSON literals, or for CSV floats to 17 significant digits and ints and tokens as text."""
+    values = np.asarray(column)
+    items = values.tolist()
+    if fmt == "json":
+        return list(map(json.dumps, items))
+    if values.dtype.kind == "f":
+        return [format(v, ".17g") for v in items]
+    return list(map(str, items))
 
 
-def _emit(rows: list[dict], columns: list[str], args) -> None:
-    if args.format == "json":
-        payload = []
-        for row in rows:
-            entry = {}
-            for col in columns:
-                val = row[col]
-                if isinstance(val, (int, np.integer)):
-                    entry[col] = int(val)
-                elif isinstance(val, str):
-                    entry[col] = val
-                else:
-                    entry[col] = float(val)
-            payload.append(entry)
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_value(row[col]) for col in columns])
-        text = buffer.getvalue()
+def _render(table: dict, fmt: str) -> str:
+    """The table as CSV, or as the JSON that ``json.dumps(rows, indent=2)`` writes for its row objects.
+
+    CSV fields are numbers and d tokens, which ``csv.writer`` never quotes, so they are joined as they are.
+    """
+    names = list(table)
+    columns = [_cells(table[name], fmt) for name in names]
+    if fmt == "csv":
+        return "".join(",".join(fields) + "\n" for fields in [names, *zip(*columns)])
+    if not columns[0]:
+        return "[]\n"
+    row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
+    return "[\n" + ",\n".join(row % fields for fields in zip(*columns)) + "\n]\n"
+
+
+def _emit(table: dict, args) -> None:
+    """Write a table given as named columns, in order, to stdout or ``args.output``."""
+    text = _render(table, args.format)
     if args.output in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -156,121 +160,82 @@ def _emit(rows: list[dict], columns: list[str], args) -> None:
 
 def _solve(n: int, token, tol: float, max_iter: int):
     spec = SystemSpec(n, Interaction.from_token(token))
-    config = equilibrium.solve_equilibrium(spec, tol=tol, max_iter=max_iter)
-    return spec, config
+    return spec, equilibrium.solve_equilibrium(spec, tol=tol, max_iter=max_iter)
 
 
 def _kernel_pipeline(n: int, token, tol: float, max_iter: int):
     if token == INF_TOKEN:
-        raise InfiniteDegeneracy(
-            "occupancies collapse to zero in the hard-core limit; use the density command instead"
-        )
+        raise InfiniteDegeneracy("occupancies collapse to zero in the hard-core limit; use the density command instead")
     spec, config = _solve(n, token, tol, max_iter)
-    normal_modes = modes.compute_modes(spec, config)
-    kernels = rdm.all_site_kernels(normal_modes, config)
-    return spec, config, normal_modes, kernels
+    return spec, rdm.all_site_kernels(modes.compute_modes(spec, config), config)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _cmd_equilibrium(args) -> int:
-    n = _single(_parse_int_list(args.n), "particle number")
-    token = _single(_parse_d_list(args.d), "exponent")
+def _cmd_equilibrium(args) -> dict:
+    n, token = _one_point(args)
     _, config = _solve(n, token, args.tol, args.max_iter)
-    rows = [{"site": i + 1, "position": p} for i, p in enumerate(config.positions)]
-    _emit(rows, ["site", "position"], args)
-    return 0
+    return {"site": np.arange(1, n + 1), "position": config.positions}
 
 
-def _cmd_modes(args) -> int:
-    n = _single(_parse_int_list(args.n), "particle number")
-    token = _single(_parse_d_list(args.d), "exponent")
+def _cmd_modes(args) -> dict:
+    n, token = _one_point(args)
     if token == INF_TOKEN:
         raise _BadRequest("normal modes are undefined in the hard-core limit")
     spec, config = _solve(n, token, args.tol, args.max_iter)
-    normal_modes = modes.compute_modes(spec, config)
-    rows = [{"mode": i + 1, "frequency": f} for i, f in enumerate(normal_modes.frequencies)]
-    _emit(rows, ["mode", "frequency"], args)
-    return 0
+    frequencies = modes.compute_modes(spec, config).frequencies
+    return {"mode": np.arange(1, frequencies.size + 1), "frequency": frequencies}
 
 
-def _cmd_kernel(args) -> int:
-    n = _single(_parse_int_list(args.n), "particle number")
-    token = _single(_parse_d_list(args.d), "exponent")
-    _, _, _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
-    rows = [
-        {
-            "site": k.site,
-            "center": k.center,
-            "A": k.amplitude,
-            "a": k.a,
-            "b": k.b,
-            "eta": k.eta,
-            "y": k.y,
-            "lambda0": rdm.leading_occupancy(k),
-        }
-        for k in kernels
-    ]
-    _emit(rows, ["site", "center", "A", "a", "b", "eta", "y", "lambda0"], args)
-    return 0
+def _cmd_kernel(args) -> dict:
+    n, token = _one_point(args)
+    _, k = _kernel_pipeline(n, token, args.tol, args.max_iter)
+    return {
+        "site": np.arange(1, n + 1), "center": k.center, "A": k.amplitude, "a": k.a,
+        "b": k.b, "eta": k.eta, "y": k.y, "lambda0": rdm.leading_occupancy(k),
+    }
 
 
-def _cmd_spectrum(args) -> int:
-    n = _single(_parse_int_list(args.n), "particle number")
-    token = _single(_parse_d_list(args.d), "exponent")
-    _, _, _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
-    spectrum = rdm.occupancy_spectrum(kernels, tail_tol=args.tail_tol)
-    rows = []
-    for kernel, ladder in zip(kernels, spectrum.ladders):
-        for l, lam in enumerate(ladder):
-            rows.append({"site": kernel.site, "l": l, "lambda": lam})
-    _emit(rows, ["site", "l", "lambda"], args)
-    return 0
+def _cmd_spectrum(args) -> dict:
+    n, token = _one_point(args)
+    _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
+    ladders = rdm.occupancy_spectrum(kernels, tail_tol=args.tail_tol).ladders
+    lengths = np.fromiter(map(len, ladders), dtype=int, count=n)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    rungs = np.arange(starts.size) - starts
+    return {"site": np.repeat(np.arange(1, n + 1), lengths), "l": rungs, "lambda": np.concatenate(ladders)}
 
 
-def _scan_point(n: int, token, tol: float, max_iter: int) -> dict:
-    _, _, _, kernels = _kernel_pipeline(n, token, tol, max_iter)
-    spectrum = rdm.occupancy_spectrum(kernels)
-    return {"n": n, "d": _d_token(token), "K": spectrum.degree_of_correlation, "delta_K": spectrum.delta_k}
+def _cmd_scan_k(args) -> dict:
+    points = []
+    for n, token in itertools.product(_parse_int_list(args.n), _parse_d_list(args.d)):
+        _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
+        spectrum = rdm.occupancy_spectrum(kernels)
+        points.append((n, _d_token(token), spectrum.degree_of_correlation, spectrum.delta_k))
+    return dict(zip(("n", "d", "K", "delta_K"), zip(*points)))
 
 
-def _cmd_scan_k(args) -> int:
-    n_list = _parse_int_list(args.n)
-    d_list = _parse_d_list(args.d)
-    rows = [_scan_point(n, token, args.tol, args.max_iter) for n in n_list for token in d_list]
-    _emit(rows, ["n", "d", "K", "delta_K"], args)
-    return 0
-
-
-def _cmd_density(args) -> int:
-    n = _single(_parse_int_list(args.n), "particle number")
-    token = _single(_parse_d_list(args.d), "exponent")
-    x_grid = np.array(_parse_real_grid(args.x)) if args.x else None
+def _cmd_density(args) -> dict:
+    n, token = _one_point(args)
+    x_grid = _parse_real_grid(args.x) if args.x else None
     if token == INF_TOKEN:
         profile = observables.hardcore_density(n, x_grid)
     else:
-        spec, _, _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
-        profile = observables.density_profile(
-            kernels, spec, x_grid, g=args.g, spacing=args.spacing, d_aux=args.d_aux
-        )
-    rows = [{"abscissa": x, "value": v} for x, v in zip(profile.abscissae, profile.values)]
-    _emit(rows, ["abscissa", "value"], args)
-    return 0
+        spec, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
+        profile = observables.density_profile(kernels, spec, x_grid, g=args.g, spacing=args.spacing, d_aux=args.d_aux)
+    return {"abscissa": profile.abscissae, "value": profile.values}
 
 
-def _cmd_momentum(args) -> int:
-    n = _single(_parse_int_list(args.n), "particle number")
-    token = _single(_parse_d_list(args.d), "exponent")
+def _cmd_momentum(args) -> dict:
+    n, token = _one_point(args)
     if token == INF_TOKEN:
         raise _BadRequest("the momentum distribution is not defined in the hard-core limit")
-    k_grid = np.array(_parse_real_grid(args.k)) if args.k else None
-    _, _, _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
+    k_grid = _parse_real_grid(args.k) if args.k else None
+    _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
     distribution = observables.momentum_distribution(kernels, k_grid)
-    rows = [{"abscissa": k, "value": v} for k, v in zip(distribution.abscissae, distribution.values)]
-    _emit(rows, ["abscissa", "value"], args)
-    return 0
+    return {"abscissa": distribution.abscissae, "value": distribution.values}
 
 
 def _cmd_verify(args) -> int:
@@ -294,48 +259,37 @@ def _add_common(parser):
     parser.add_argument("--max-iter", type=int, default=None, help="solver iteration budget")
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each command's own parser, by command name."""
+    """The top-level parser and each command's own parser, by command name.
+
+    Built on the first :func:`main` call and kept for the process: parsing
+    leaves no state in a parser, and configs and defaults go onto each
+    call's own namespace.
+    """
     parser = argparse.ArgumentParser(prog="wigmol", description="Wigner-molecule tables and scans")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("equilibrium", help="ordered equilibrium positions")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_equilibrium)
-
-    p = sub.add_parser("modes", help="normal-mode frequencies")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_modes)
-
-    p = sub.add_parser("kernel", help="per-site kernel parameters and leading occupancies")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_kernel)
-
-    p = sub.add_parser("spectrum", help="per-site occupancy ladders")
-    _add_common(p)
-    p.add_argument("--tail-tol", type=float, default=None, help="ladder truncation tolerance")
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = sub.add_parser("scan-k", help="degree of correlation over an (n, d) grid")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_scan_k)
-
-    p = sub.add_parser("density", help="one-particle density profile")
-    _add_common(p)
+    for name, handler, text in (
+        ("equilibrium", _cmd_equilibrium, "ordered equilibrium positions"),
+        ("modes", _cmd_modes, "normal-mode frequencies"),
+        ("kernel", _cmd_kernel, "per-site kernel parameters and leading occupancies"),
+        ("spectrum", _cmd_spectrum, "per-site occupancy ladders"),
+        ("scan-k", _cmd_scan_k, "degree of correlation over an (n, d) grid"),
+        ("density", _cmd_density, "one-particle density profile"),
+        ("momentum", _cmd_momentum, "momentum distribution"),
+        ("verify", _cmd_verify, "run the brute-force verification suite"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        if name != "verify":
+            _add_common(p)
+    sub.choices["spectrum"].add_argument("--tail-tol", type=float, default=None, help="ladder truncation tolerance")
+    p = sub.choices["density"]
     p.add_argument("--x", help="abscissa grid start:stop:step (default: automatic)")
     p.add_argument("--g", type=float, default=None, help="place peaks at physical centers for this coupling")
     p.add_argument("--spacing", type=float, default=None, help="place peaks on a fictitious lattice")
     p.add_argument("--d-aux", type=float, default=None, help="small exponent accompanying --g in the log limit")
-    p.set_defaults(handler=_cmd_density)
-
-    p = sub.add_parser("momentum", help="momentum distribution")
-    _add_common(p)
-    p.add_argument("--k", help="momentum grid start:stop:step (default: -8:8:0.02)")
-    p.set_defaults(handler=_cmd_momentum)
-
-    p = sub.add_parser("verify", help="run the brute-force verification suite")
-    p.set_defaults(handler=_cmd_verify)
-
+    sub.choices["momentum"].add_argument("--k", help="momentum grid start:stop:step (default: -8:8:0.02)")
     return parser, sub.choices
 
 
@@ -407,7 +361,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(_join_negative_values(list(argv)))
     try:
         _apply_config(args, commands[args.command])
-        return args.handler(args)
+        table = args.handler(args)  # verify prints its lines and returns its status
+        if not isinstance(table, dict):
+            return table
+        _emit(table, args)
+        return 0
     except (_BadRequest, InfiniteDegeneracy, UnsupportedLimit, InvalidScale, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -418,3 +376,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_main()

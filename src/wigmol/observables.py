@@ -1,4 +1,8 @@
-"""Momentum distributions and assembled real-space density profiles."""
+"""Momentum distributions and assembled real-space density profiles.
+
+Each is a sum of per-site Gaussians over the :class:`~wigmol.rdm.KernelSet`
+arrays, a block of sites at a time, bitwise the site-by-site sum.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import numpy as np
 
 from .equilibrium import coordinate_scale, lattice_guess
 from .potential import SystemSpec
-from .rdm import SiteKernel, site_density
+from .rdm import KernelSet, _scalar_power, _site_sum
 
 
 @dataclass(frozen=True)
@@ -23,9 +27,9 @@ class SampledFunction:
         vals = np.array(self.values, dtype=float)
         if grid.shape != vals.shape or grid.ndim != 1:
             raise ValueError("abscissae and values must be 1-d arrays of equal length")
-        if np.any(np.diff(grid) <= 0):
+        if (np.diff(grid) <= 0).any():
             raise ValueError("abscissae must be strictly increasing")
-        if np.any(vals < 0):
+        if (vals < 0).any():
             raise ValueError("values must be non-negative")
         grid.flags.writeable = False
         vals.flags.writeable = False
@@ -43,10 +47,10 @@ def default_k_grid(points: int = 801, halfwidth: float = 8.0) -> np.ndarray:
 
 def default_x_grid(kernels, centers=None, points: int = 2001, pad: float = 6.0) -> np.ndarray:
     """Grid spanning all centers plus ``pad`` site widths on each side."""
-    kernels = tuple(kernels)
+    kernels = KernelSet.from_kernels(kernels)
     if centers is None:
-        centers = np.array([k.center for k in kernels])
-    margin = pad * max(k.width for k in kernels)
+        centers = kernels.center
+    margin = pad * _scalar_power(kernels.eta, -0.5).max()  # the widest SiteKernel.width
     return np.linspace(np.min(centers) - margin, np.max(centers) + margin, points)
 
 
@@ -58,17 +62,16 @@ def momentum_distribution(kernels, k_grid=None) -> SampledFunction:
     because only the coordinate difference carries the phase.  The total
     integrates to one.
     """
+    kernels = KernelSet.from_kernels(kernels)
     k = default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
-    total = np.zeros_like(k)
-    for kernel in kernels:
-        decay = (2.0 * kernel.a - kernel.b) / kernel.eta**2
-        total = total + (kernel.amplitude / kernel.eta) * np.exp(-decay * k**2)
-    return SampledFunction(k, total)
+    decay = (2.0 * kernels.a - kernels.b) / _scalar_power(kernels.eta, 2)
+    values = _site_sum(lambda k, scale, decay: scale * np.exp(-decay * k**2), k, kernels.amplitude / kernels.eta, decay)
+    return SampledFunction(k, values)
 
 
 def fictitious_spacing(kernels) -> float:
     """Default plotting spacing: six times the widest site orbital."""
-    return 6.0 * max(k.width for k in kernels)
+    return float(6.0 * _scalar_power(KernelSet.from_kernels(kernels).eta, -0.5).max())
 
 
 def density_profile(
@@ -89,21 +92,22 @@ def density_profile(
     in scaled coordinates, so the profile integrates to one regardless of
     placement.
     """
-    kernels = tuple(kernels)
+    kernels = KernelSet.from_kernels(kernels)
     if g is not None and spacing is not None:
         raise ValueError("give either g or spacing, not both")
     if g is not None:
-        centers = np.array([k.center for k in kernels]) * coordinate_scale(spec, g, d_aux)
+        centers = kernels.center * coordinate_scale(spec, g, d_aux)
     else:
         if spacing is None:
             spacing = fictitious_spacing(kernels)
         centers = spacing * lattice_guess(len(kernels)).positions
     x = default_x_grid(kernels, centers) if x_grid is None else np.asarray(x_grid, dtype=float)
-    total = np.zeros_like(x)
-    for kernel, center in zip(kernels, centers):
-        shifted = SiteKernel(kernel.site, float(center), kernel.amplitude, kernel.a, kernel.b, kernel.eta, kernel.y)
-        total = total + site_density(shifted, x)
-    return SampledFunction(x, total)
+    exponent = -(2.0 * kernels.a - kernels.b)  # rdm.site_density, at the relocated centers
+
+    def term(x, amplitude, exponent, center):
+        return amplitude * np.exp(exponent * (x - center) ** 2)
+
+    return SampledFunction(x, _site_sum(term, x, kernels.amplitude, exponent, centers))
 
 
 def hardcore_density(n: int, x_grid=None) -> SampledFunction:
@@ -118,7 +122,5 @@ def hardcore_density(n: int, x_grid=None) -> SampledFunction:
         x = np.linspace(centers[0] - 6.0 * width, centers[-1] + 6.0 * width, 2001)
     else:
         x = np.asarray(x_grid, dtype=float)
-    total = np.zeros_like(x)
-    for center in centers:
-        total = total + np.exp(-n * (x - center) ** 2) / np.sqrt(np.pi * n)
-    return SampledFunction(x, total)
+    norm = np.sqrt(np.pi * n)
+    return SampledFunction(x, _site_sum(lambda x, center: np.exp(-n * (x - center) ** 2) / norm, x, centers))

@@ -47,6 +47,7 @@ from .modes import NormalModes
 
 DEFAULT_TAIL_TOL = 1e-12
 _LADDER_CAP = 200_000
+_BLOCK_ELEMENTS = 1 << 15  # float64 entries in one block of site terms, 256 KB
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,12 @@ class KernelSet(Sequence):
         return (SiteKernel(site, *row) for site, row in enumerate(rows, start=1))
 
 
+def _scalar_power(values: np.ndarray, exponent: float) -> np.ndarray:
+    """``values**exponent`` in Python floats, as per-site formulas take it; numpy's array power
+    (its square too) rounds some entries differently."""
+    return np.array([v**exponent for v in values.tolist()])
+
+
 def _precision_diagonals(modes: NormalModes, columns: slice) -> tuple[np.ndarray, np.ndarray]:
     """diag M = v @ U**2 and diag inv(M) = (1/v) @ U**2 on the given sites.
 
@@ -132,8 +139,26 @@ def _column_sums(terms: np.ndarray) -> np.ndarray:
     # numpy sums axis 0 of a 2-d array row by row but a single column
     # pairwise, so a single column takes the running sum, which is row by row
     if terms.shape[1] == 1:
-        return np.cumsum(terms, axis=0)[-1]
+        return terms.cumsum(axis=0)[-1]
     return terms.sum(axis=0)
+
+
+def _site_sum(term, grid: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    """sum_i term(grid, *column_i) over sites, bitwise the loop ``total = total + term_i`` from zeros.
+
+    Each column holds one parameter per site.  ``term`` gets the flattened
+    grid and a block of sites of every column as (sites, 1) arrays, and
+    returns a fresh (sites, grid) array.  Each 256 KB block's first row
+    takes the running total, and its column sums add row by row in site order.
+    """
+    flat = grid.reshape(-1)
+    total = np.zeros(flat.shape)
+    step = max(1, _BLOCK_ELEMENTS // max(flat.size, 1))
+    for first in range(0, len(columns[0]), step):
+        block = term(flat, *(column[first : first + step, None] for column in columns))
+        block[0] += total
+        total = _column_sums(block)
+    return total.reshape(grid.shape)
 
 
 def _kernel_parameters(diag_m: np.ndarray, diag_m_inv: np.ndarray, n: int, first_site: int):
@@ -236,8 +261,10 @@ def natural_orbital(kernel: SiteKernel, l: int, x) -> np.ndarray:
     return kernel.eta**0.25 * current
 
 
-def leading_occupancy(kernel: SiteKernel) -> float:
-    """lambda_0 = A * sqrt(pi * (1 - y**2) / eta)."""
+def leading_occupancy(kernel: SiteKernel | KernelSet) -> float | np.ndarray:
+    """lambda_0 = A * sqrt(pi * (1 - y**2) / eta); an array of all sites for a :class:`KernelSet`."""
+    if isinstance(kernel, KernelSet):
+        return kernel.amplitude * np.sqrt(np.pi * (1.0 - _scalar_power(kernel.y, 2)) / kernel.eta)
     return float(kernel.amplitude * np.sqrt(np.pi * (1.0 - kernel.y**2) / kernel.eta))
 
 
@@ -249,6 +276,10 @@ def occupancy(kernel: SiteKernel, l: int) -> float:
 def site_purity(kernel: SiteKernel) -> float:
     """Closed-form sum of squared occupancies of one site: A**2 * pi / eta."""
     return float(kernel.amplitude**2 * np.pi / kernel.eta)
+
+
+class _FrozenLadders(tuple):
+    """Ladders that are rows of read-only blocks no caller holds; kept without a copy."""
 
 
 @dataclass(frozen=True)
@@ -270,13 +301,13 @@ class OccupancySpectrum:
     def __post_init__(self):
         tails = np.array(self.tail_bounds, dtype=float)
         tails.flags.writeable = False
-        frozen = []
-        for ladder in self.ladders:
-            arr = np.array(ladder, dtype=float)
-            arr.flags.writeable = False
-            frozen.append(arr)
+        ladders = self.ladders
+        if not isinstance(ladders, _FrozenLadders):
+            ladders = [np.array(ladder, dtype=float) for ladder in ladders]
+            for ladder in ladders:
+                ladder.flags.writeable = False
         object.__setattr__(self, "tail_bounds", tails)
-        object.__setattr__(self, "ladders", tuple(frozen))
+        object.__setattr__(self, "ladders", tuple(ladders))
 
     @property
     def n_sites(self) -> int:
@@ -321,13 +352,14 @@ def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> Occupancy
         block[:, 0] = lam0[sites]
         block[:, 1:] = y[sites, None]
         np.cumprod(block, axis=1, out=block)
+        block.flags.writeable = False
         last[sites] = block[:, -1]
         for site, ladder in zip(sites.tolist(), block):
             ladders[site] = ladder
     tails = last * y / (1.0 - y)
     purity = sum((amplitude**2 * np.pi / eta).tolist())
     degree = 1.0 / purity
-    return OccupancySpectrum(ladders, tails, purity, degree, (degree - n) / n)
+    return OccupancySpectrum(_FrozenLadders(ladders), tails, purity, degree, (degree - n) / n)
 
 
 def rank_n_density_approximation(kernels, spectrum: OccupancySpectrum, x) -> np.ndarray:
@@ -337,8 +369,11 @@ def rank_n_density_approximation(kernels, spectrum: OccupancySpectrum, x) -> np.
     approximation sum_i lambda_0_i * u_0_i(x)**2; it is accurate exactly
     when the correlation excess delta_k is small.
     """
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x, dtype=float)
-    for kernel, ladder in zip(kernels, spectrum.ladders):
-        total = total + ladder[0] * natural_orbital(kernel, 0, x) ** 2
-    return total
+    kernels = KernelSet.from_kernels(kernels)
+    lam0 = np.array([ladder[0] for ladder in spectrum.ladders[: len(kernels)]])
+    center, eta = kernels.center[: lam0.size], kernels.eta[: lam0.size]
+
+    def term(x, lam0, center, root, quarter):  # lambda_0 * natural_orbital(kernel, 0, x)**2, step by step
+        return lam0 * (quarter * (np.pi**-0.25 * np.exp(-0.5 * (root * (x - center)) ** 2))) ** 2
+
+    return _site_sum(term, np.asarray(x, dtype=float), lam0, center, np.sqrt(eta), _scalar_power(eta, 0.25))
