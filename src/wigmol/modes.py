@@ -77,11 +77,17 @@ def modes_from_hessian(hessian: np.ndarray) -> NormalModes:
 
     Exactly degenerate frequencies get their mode vectors in lexicographic
     order.  Raises NegativeEigenvalue (a DegenerateHessian) if any eigenvalue is
-    not positive, which signals a saddle rather than a minimum.
+    not positive, which signals a saddle rather than a minimum; its message
+    names the matrix size and how many eigenvalues are not positive.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(hessian)
     if eigenvalues[0] <= 0:
-        raise NegativeEigenvalue(f"smallest curvature eigenvalue is {eigenvalues[0]:g}")
+        size = eigenvalues.size
+        count = int(np.count_nonzero(eigenvalues <= 0))
+        raise NegativeEigenvalue(
+            f"smallest curvature eigenvalue is {eigenvalues[0]:g}; "
+            f"{count} of the {size} eigenvalues of the {size}x{size} matrix are not positive"
+        )
     frequencies = np.sqrt(eigenvalues)
     rows = _fix_signs(eigenvectors.T)
     frequencies, rows = _order_degenerate(frequencies, rows)

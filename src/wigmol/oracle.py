@@ -11,14 +11,15 @@ over the right-half coordinates.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equilibrium import ALPHA, BETA, Configuration, lattice_guess
-from .errors import CoincidentPositions, DimensionTooLarge, NoConvergence, UnsupportedLimit
+from .errors import DimensionTooLarge, NoConvergence, UnsupportedLimit
 from .modes import NormalModes, ground_state_precision
-from .potential import SystemSpec, potential_gradient, potential_value
+from .potential import SystemSpec, potential_gradient
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,6 +62,55 @@ def _tensor_rule(order: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(t), _read_only(weight)
 
 
+@dataclass(frozen=True)
+class _SiteRule:
+    """The parts of one site's quadrature that do not depend on (x, x'), for one (modes, site, order).
+
+    ``nodes`` holds the off-site node coordinates; each call overwrites
+    its on-site column in place.
+    """
+
+    modes: NormalModes
+    site: int
+    order: int
+    nodes: np.ndarray
+    log_norm: float
+    t_squared: np.ndarray
+    weight: np.ndarray
+    jacobian: float
+
+
+# the last rule built; it holds its modes, so no later object can reuse their id
+_last_site_rule: _SiteRule | None = None
+
+
+def _site_rule(modes: NormalModes, site: int, order: int) -> _SiteRule:
+    """The off-site rule of ``quadrature_kernel``, rebuilt only when (modes, site, order) changes."""
+    global _last_site_rule
+    rule = _last_site_rule
+    if rule is not None and rule.modes is modes and rule.site == site and rule.order == order:
+        return rule
+    n = modes.n_particles
+    idx = site - 1
+    rest = [j for j in range(n) if j != idx]
+    block = ground_state_precision(modes)[np.ix_(rest, rest)]
+    block_eigs, block_vecs = np.linalg.eigh(block)
+    t, weight = _tensor_rule(order, n - 1)
+    nodes = np.empty((t.shape[0], n))
+    nodes[:, rest] = (t / np.sqrt(block_eigs)) @ block_vecs.T
+    _last_site_rule = _SiteRule(
+        modes,
+        site,
+        order,
+        nodes,
+        0.25 * np.sum(np.log(modes.frequencies / np.pi)),
+        np.sum(t**2, axis=1),
+        weight,
+        float(np.prod(1.0 / np.sqrt(block_eigs))),
+    )
+    return _last_site_rule
+
+
 def quadrature_kernel(
     modes: NormalModes,
     config: Configuration,
@@ -75,7 +125,9 @@ def quadrature_kernel(
     and integrated over the off-site coordinates on a tensor Gauss-Hermite
     grid.  Nodes are placed in the eigenbasis of the off-site precision
     block, which makes the weight function exactly the Gauss-Hermite one,
-    so convergence in ``points_per_dim`` is superexponential.
+    so convergence in ``points_per_dim`` is superexponential.  The nodes,
+    weights and Jacobian of the last (modes, site, order) are kept, so a
+    run of calls at one site builds them once.
 
     Raises DimensionTooLarge beyond four particles (cost grows as
     points**(N-1)).
@@ -86,30 +138,22 @@ def quadrature_kernel(
         raise DimensionTooLarge("direct quadrature is limited to four particles")
     if not 1 <= site <= n:
         raise ValueError(f"site must lie in 1..{n}")
+    rule = _site_rule(modes, site, quad.points_per_dim)
     freqs = modes.frequencies
     rows = modes.mode_matrix
     idx = site - 1
-    rest = [j for j in range(n) if j != idx]
-    precision = ground_state_precision(modes)
-    block = precision[np.ix_(rest, rest)]
-    block_eigs, block_vecs = np.linalg.eigh(block)
-
-    t, weight = _tensor_rule(quad.points_per_dim, n - 1)
-    off_site = (t / np.sqrt(block_eigs)) @ block_vecs.T
 
     def log_amplitude(points: np.ndarray) -> np.ndarray:
         mode_coords = points @ rows.T
-        return 0.25 * np.sum(np.log(freqs / np.pi)) - 0.5 * (mode_coords**2) @ freqs
+        return rule.log_norm - 0.5 * (mode_coords**2) @ freqs
 
-    z = np.empty((t.shape[0], n))
-    z[:, rest] = off_site
+    z = rule.nodes
     z[:, idx] = x - config.positions[idx]
-    z_prime = z.copy()
-    z_prime[:, idx] = x_prime - config.positions[idx]
+    at_x = log_amplitude(z)
+    z[:, idx] = x_prime - config.positions[idx]
     # the Gauss-Hermite weight exp(-|t|^2) is divided back out of the integrand
-    exponent = log_amplitude(z) + log_amplitude(z_prime) + np.sum(t**2, axis=1)
-    jacobian = float(np.prod(1.0 / np.sqrt(block_eigs)))
-    return float(weight @ np.exp(exponent)) * jacobian / n
+    exponent = at_x + log_amplitude(z) + rule.t_squared
+    return float(rule.weight @ np.exp(exponent)) * rule.jacobian / n
 
 
 def nystrom_grid(kernel, points: int = 400, halfwidth: float = 8.0) -> np.ndarray:
@@ -159,24 +203,52 @@ def _golden_section(func, lo: float, hi: float, xtol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _parabolic_sweeps(value, positions, step, max_sweeps, move_tol):
-    n = positions.size
+def _line_energy(spec: SystemSpec, half: np.ndarray, k: int):
+    """The landscape terms that move with right-half site ``k``, as a function of its coordinate.
+
+    The site moves to ``c`` and its mirror to ``-c``; every other site of
+    the mirrored chain stays put.  The terms that involve either are the
+    trap and the pair between them, plus twice the pairs of ``c`` with
+    the others (the others are symmetric, so ``-c`` sees the same
+    distances).  So the result differs from the whole landscape by a
+    constant, in O(N) Python float work per call.  A coincident pair,
+    ``c <= 0`` or an overflowing power gives ``+inf``.
+    """
+    rest = [float(h) for j, h in enumerate(half) if j != k]
+    others = rest + [-h for h in rest] + [0.0] * (spec.n_particles % 2)
+    log_limit = spec.interaction.is_log_limit
+    d = spec.interaction.d
+
+    def energy(c) -> float:
+        c = float(c)
+        if c <= 0.0 or c in others:
+            return math.inf
+        try:
+            if log_limit:
+                return 2.0 * c * c - math.log(4.0 * c * c) - 2.0 * sum(math.log((c - s) ** 2) for s in others)
+            return c * c + (2.0 * c) ** -d + 2.0 * sum(abs(c - s) ** -d for s in others)
+        except OverflowError:  # float ** float raises where numpy returns inf
+            return math.inf
+
+    return energy
+
+
+def _parabolic_sweeps(spec, half, step, max_sweeps, move_tol):
     for _ in range(max_sweeps):
         moved = 0.0
-        for k in range(n):
-            bump = np.zeros(n)
-            bump[k] = step
-            f0 = value(positions)
-            f_plus = value(positions + bump)
-            f_minus = value(positions - bump)
+        for k in range(half.size):
+            line = _line_energy(spec, half, k)
+            f0 = line(half[k])
+            f_plus = line(half[k] + step)
+            f_minus = line(half[k] - step)
             denom = f_plus - 2.0 * f0 + f_minus
             if denom > 0:
                 delta = -0.5 * step * (f_plus - f_minus) / denom
-                positions[k] += delta
+                half[k] += delta
                 moved = max(moved, abs(delta))
         if moved < move_tol:
             break
-    return positions
+    return half
 
 
 def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
@@ -192,8 +264,10 @@ def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
     That loses nothing: on the ordered sector the landscape is strictly
     convex (the trap is, and each pair term is a convex function of a
     positive separation), so its unique minimum is invariant under the
-    reflection x -> -J x, that is, antisymmetric.  The returned residual
-    is the max-norm of the full gradient.
+    reflection x -> -J x, that is, antisymmetric.  Each probe evaluates
+    only the O(N) terms that move with the probed coordinate
+    (:func:`_line_energy`).  The returned residual is the max-norm of the
+    full gradient.
     """
     if spec.interaction.is_hard_core:
         raise UnsupportedLimit("the hard-core equilibrium is the lattice itself")
@@ -203,15 +277,6 @@ def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
     golden_settle = min(1e-6, tol * 100.0)
     polish_settle = min(1e-11, tol / 10.0)
 
-    def mirrored(half: np.ndarray) -> np.ndarray:
-        return np.concatenate((-half[::-1], np.zeros(n % 2), half))
-
-    def value(half: np.ndarray) -> float:
-        try:
-            return potential_value(spec, mirrored(half))
-        except CoincidentPositions:
-            return np.inf
-
     half = lattice_guess(n).positions[n - m :].copy()
     for sweep in range(400):
         moved = 0.0
@@ -219,22 +284,16 @@ def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
             # the first right-half site only has to stay right of its mirror (or the middle site)
             lo = half[k - 1] + 1e-9 if k > 0 else 1e-9
             hi = half[k + 1] - 1e-9 if k < m - 1 else half[k] + 3.0
-
-            def line(coord: float, k: int = k) -> float:
-                trial = half.copy()
-                trial[k] = coord
-                return value(trial)
-
-            best = _golden_section(line, lo, hi, golden_xtol)
+            best = _golden_section(_line_energy(spec, half, k), lo, hi, golden_xtol)
             moved = max(moved, abs(best - half[k]))
             half[k] = best
         if moved < golden_settle:
             break
     else:
         raise NoConvergence("coordinate descent did not settle within 400 sweeps")
-    half = _parabolic_sweeps(value, half, 1e-5, 300, polish_settle)
-    half = _parabolic_sweeps(value, half, 3e-6, 100, polish_settle)
-    positions = mirrored(half)
+    half = _parabolic_sweeps(spec, half, 1e-5, 300, polish_settle)
+    half = _parabolic_sweeps(spec, half, 3e-6, 100, polish_settle)
+    positions = np.concatenate((-half[::-1], np.zeros(n % 2), half))
     residual = float(np.max(np.abs(potential_gradient(spec, positions))))
     kind = ALPHA if spec.interaction.is_log_limit else BETA
     return Configuration(positions, kind, residual)

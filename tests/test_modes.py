@@ -189,3 +189,10 @@ def test_hessian_is_coupling_independent(token, g):
     hess_fd = fd_jacobian(gradient, centers, step=step)
     hess_scaled = potential_hessian(spec, config.positions)
     assert np.max(np.abs(hess_fd - hess_scaled)) / max(1.0, np.max(np.abs(hess_scaled))) <= 1e-5
+
+
+def test_general_saddle_message_names_size_and_count():
+    saddle = np.diag([-0.5, -0.25, 1.0, 2.0])
+    message = r"^smallest curvature eigenvalue is -0\.5; 2 of the 4 eigenvalues of the 4x4 matrix are not positive$"
+    with pytest.raises(NegativeEigenvalue, match=message):
+        modes_from_hessian(saddle)

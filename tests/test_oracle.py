@@ -1,4 +1,5 @@
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -247,3 +248,79 @@ def test_random_positions_are_admissible():
     for n in (2, 4, 6):
         pos = random_admissible_positions(rng, n)
         assert np.all(np.diff(pos) >= 0.4)
+
+
+def _mirrored(half, n):
+    return np.concatenate((-half[::-1], np.zeros(n % 2), half))
+
+
+@pytest.mark.parametrize("token", [0.5, 1.0, 6.0, "log"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9])
+def test_line_energy_moves_like_the_whole_landscape(n, token):
+    spec = SystemSpec(n, Interaction.from_token(token))
+    m = n // 2
+    rng = np.random.default_rng(10 * n + m)
+    for _ in range(5):
+        half = np.cumsum(rng.uniform(0.4, 1.2, size=m)) - (0.2 if n % 2 else 0.0)
+        for k in range(m):
+            lo = half[k - 1] if k > 0 else 0.0
+            hi = half[k + 1] if k < m - 1 else half[k] + 1.0
+            c_1, c_2 = lo + (hi - lo) * rng.uniform(0.1, 0.9, size=2)
+            line = oracle._line_energy(spec, half, k)
+            chains = []
+            for c in (c_1, c_2):
+                trial = half.copy()
+                trial[k] = c
+                chains.append(potential_value(spec, _mirrored(trial, n)))
+            scale = max(abs(value) for value in chains)
+            assert abs((line(c_1) - line(c_2)) - (chains[0] - chains[1])) <= 1e-12 * scale
+
+
+def test_independent_minimum_evaluates_no_whole_landscape(monkeypatch):
+    def whole_landscape(spec, positions):
+        raise AssertionError("the golden-section search evaluated the whole landscape")
+
+    monkeypatch.setattr(potential, "potential_value", whole_landscape)
+    monkeypatch.setattr(oracle, "potential_value", whole_landscape, raising=False)
+    spec, newton = solved(5, 1.0)
+    derivative_free = independent_minimum(spec)
+    assert np.max(np.abs(derivative_free.positions - newton.positions)) <= 1e-8
+
+
+# right halves of the golden-section minimum as found by the whole-landscape search
+_LARGE_D_HALVES = {
+    (3, 50.0): [1.078133399134444],
+    (4, 300.0): [0.5083641522404057, 1.5260641242088127],
+    (6, 300.0): [0.5070007058888649, 1.5213987226125831, 2.5373810762094466],
+}
+
+
+@pytest.mark.parametrize("n,d", sorted(_LARGE_D_HALVES))
+def test_independent_minimum_at_large_d_raises_nothing(n, d):
+    spec = SystemSpec(n, Interaction.power_law(d))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = independent_minimum(spec)
+    assert np.max(np.abs(config.positions[n - n // 2 :] - _LARGE_D_HALVES[n, d])) <= 1e-8
+
+
+def test_overflowing_probe_is_infinite():
+    spec = SystemSpec(3, Interaction.power_law(400.0))
+    assert oracle._line_energy(spec, np.array([1.0]), 0)(1e-9) == np.inf
+
+
+def test_quadrature_rule_memo_is_bitwise_the_uncached_integral():
+    _, config_3, modes_3, _ = kernel_set(3, 1.0)
+    _, config_2, modes_2, _ = kernel_set(2, 1.0)
+    calls = [
+        (modes, config, site, order)
+        for modes, config, sites in ((modes_2, config_2, (1, 2)), (modes_3, config_3, (1, 2)))
+        for site in sites
+        for order in (20, 40)
+    ]
+    for x, x_prime in ((0.3, -0.1), (-0.4, 0.2), (0.0, 0.5)):
+        for modes, config, site, order in calls:
+            x_site = config.positions[site - 1] + x
+            xp_site = config.positions[site - 1] + x_prime
+            direct = quadrature_kernel(modes, config, site, x_site, xp_site, QuadratureSpec(order))
+            assert direct == _uncached_quadrature_kernel(modes, config, site, x_site, xp_site, order)
