@@ -171,20 +171,60 @@ def _trapezoid_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def nystrom_occupancies(kernel_evaluator, grid, top_k: int) -> np.ndarray:
-    """Leading eigenvalues of a symmetric kernel discretized on a grid.
+    """Leading eigenvalues of a symmetric positive semidefinite kernel discretized on a grid.
 
     ``kernel_evaluator(x, x_prime)`` must broadcast over arrays.  The
-    kernel matrix is scaled by sqrt of the trapezoid weights on both
-    sides, which preserves the spectrum of the integral operator.
+    kernel matrix is symmetrized and scaled by sqrt of the trapezoid
+    weights on both sides, ``S = W^1/2 (K + K^T)/2 W^1/2``, which
+    preserves the spectrum of the integral operator.  ``S`` is never
+    formed: a diagonally pivoted Cholesky factorization ``S ~ L L^T``
+    evaluates the diagonal once and then one column per step, at the
+    largest residual diagonal entry, until the residual diagonal sums to
+    at most ``eps * trace(S)`` (eps the float epsilon).  The residual
+    ``R = S - L L^T`` is positive semidefinite, so each returned value,
+    an eigenvalue of ``L L^T``, satisfies
+    ``lambda_k(L L^T) <= lambda_k(S) <= lambda_k(L L^T) + trace(R)``.
+    A low-rank kernel costs ``(2 rank + 1) n`` kernel evaluations on an
+    n-point grid.
+
+    Returns ``min(top_k, n)`` values, largest first; those past the
+    rank are 0.0.  Raises ValueError for a grid of fewer than two
+    points, with a non-finite entry or not strictly increasing, for a
+    non-finite kernel diagonal, and when a residual diagonal entry falls
+    below ``-n * eps * trace(S)``, beyond its roundoff, which proves the
+    kernel is not positive semidefinite.
     """
     grid = np.asarray(grid, dtype=float)
-    mesh_x, mesh_xp = np.meshgrid(grid, grid, indexing="ij")
-    matrix = np.asarray(kernel_evaluator(mesh_x, mesh_xp), dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("the Nystrom grid must be one-dimensional with at least two points")
+    if not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
+        raise ValueError("the Nystrom grid must be finite and strictly increasing")
+    n = grid.size
     root_w = np.sqrt(_trapezoid_weights(grid))
-    scaled = root_w[:, None] * matrix * root_w[None, :]
-    scaled = 0.5 * (scaled + scaled.T)
-    eigenvalues = np.linalg.eigvalsh(scaled)[::-1]
-    return eigenvalues[:top_k]
+    residual = root_w**2 * np.asarray(kernel_evaluator(grid, grid), dtype=float)
+    if not np.all(np.isfinite(residual)):
+        raise ValueError("the kernel is not finite on the grid diagonal")
+    tol = np.finfo(float).eps * abs(float(residual.sum()))
+    factor = np.empty((min(n, 16), n))  # one row per step, doubled when full
+    rank = 0
+    while rank < n:
+        if residual.min() < -n * tol:
+            raise ValueError("the kernel is not positive semidefinite on the grid")
+        if residual.sum() <= tol:
+            break
+        if rank == factor.shape[0]:
+            factor = np.concatenate((factor, np.empty((min(rank, n - rank), n))))
+        p = int(np.argmax(residual))
+        column = np.asarray(kernel_evaluator(grid, grid[p]), dtype=float) + kernel_evaluator(grid[p], grid)
+        column = root_w * (0.5 * column) * root_w[p] - factor[:rank, p] @ factor[:rank]
+        factor[rank] = column / np.sqrt(residual[p])
+        residual -= factor[rank] ** 2
+        residual[p] = 0.0
+        rank += 1
+    occupancies = np.zeros(min(top_k, n))
+    values = np.linalg.svd(factor[:rank], compute_uv=False)[: occupancies.size] ** 2
+    occupancies[: values.size] = values
+    return occupancies
 
 
 def _golden_section(func, lo: float, hi: float, xtol: float) -> float:

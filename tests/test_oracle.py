@@ -208,6 +208,99 @@ def test_nystrom_rank_one_projector():
     assert np.all(np.abs(eigenvalues[1:]) < 1e-10)
 
 
+def _dense_nystrom_occupancies(kernel_evaluator, grid, top_k):
+    """The whole weighted kernel matrix and all its eigenvalues: the reference for the pivoted Cholesky."""
+    grid = np.asarray(grid, dtype=float)
+    mesh_x, mesh_xp = np.meshgrid(grid, grid, indexing="ij")
+    matrix = np.asarray(kernel_evaluator(mesh_x, mesh_xp), dtype=float)
+    root_w = np.sqrt(oracle._trapezoid_weights(grid))
+    scaled = root_w[:, None] * matrix * root_w[None, :]
+    scaled = 0.5 * (scaled + scaled.T)
+    eigenvalues = np.linalg.eigvalsh(scaled)[::-1]
+    return eigenvalues[:top_k], float(np.trace(scaled))
+
+
+def _assert_matches_dense(kernel_evaluator, grid, top_k):
+    # trace(R) <= eps * trace(S) bounds the gap in exact arithmetic; each
+    # side adds its own roundoff of a few eps * ||S||_2 <= eps * trace(S)
+    # (the dense eigenvalues alone sit up to 2.2 eps * trace(S) from the
+    # closed-form ladder)
+    dense, trace = _dense_nystrom_occupancies(kernel_evaluator, grid, top_k)
+    pivoted = nystrom_occupancies(kernel_evaluator, grid, top_k)
+    assert np.max(np.abs(pivoted - dense)) <= 8.0 * np.finfo(float).eps * trace
+
+
+@pytest.mark.parametrize("token", [0.5, 1.0, 2.0, 4.0, "log"])
+@pytest.mark.parametrize("n", [2, 3, 20, 40])
+def test_nystrom_matches_the_dense_spectrum(n, token):
+    _, _, _, kernels = kernel_set(n, token)
+    for site in sorted({1, n // 4 + 1, (n + 1) // 2}):
+        kernel = kernels[site - 1]
+        _assert_matches_dense(lambda x, xp: kernel_value(kernel, x, xp), nystrom_grid(kernel), 5)
+
+
+def test_nystrom_matches_the_dense_spectrum_of_a_kernel_sum():
+    _, _, _, kernels = kernel_set(2, 2.0)
+    shift = 14.0 * max(k.width for k in kernels)
+    moved = [
+        kernels[0].__class__(k.site, c, k.amplitude, k.a, k.b, k.eta, k.y)
+        for k, c in zip(kernels, (-shift, shift))
+    ]
+    grid = np.linspace(-shift - 8.0 * moved[0].width, shift + 8.0 * moved[0].width, 1200)
+    _assert_matches_dense(lambda x, xp: kernel_value(moved[0], x, xp) + kernel_value(moved[1], x, xp), grid, 6)
+
+
+def test_nystrom_evaluates_a_few_columns():
+    _, _, _, kernels = kernel_set(3, 2.0)
+    kernel = kernels[0]
+    grid = nystrom_grid(kernel)
+    sizes = []
+
+    def counted(x, xp):
+        values = kernel_value(kernel, x, xp)
+        sizes.append(values.size)
+        return values
+
+    nystrom_occupancies(counted, grid, 5)
+    # the diagonal, then both halves of one symmetrized column per rank step
+    rank = (len(sizes) - 1) // 2
+    assert sizes == [grid.size] * (2 * rank + 1)
+    assert rank <= 20  # so at most 41 n points, against n**2 for the whole matrix
+
+
+def test_nystrom_pads_past_the_rank_with_zeros():
+    _, _, _, kernels = kernel_set(2, 1.0)
+    kernel = kernels[0]
+
+    def projector(x, xp):
+        return natural_orbital(kernel, 0, x) * natural_orbital(kernel, 0, xp)
+
+    eigenvalues = nystrom_occupancies(projector, nystrom_grid(kernel), 3)
+    assert eigenvalues.shape == (3,) and np.array_equal(eigenvalues[1:], [0.0, 0.0])
+    assert nystrom_occupancies(projector, nystrom_grid(kernel, points=3), 5).shape == (3,)
+    assert np.array_equal(nystrom_occupancies(lambda x, xp: 0.0 * (x - xp), nystrom_grid(kernel), 2), [0.0, 0.0])
+
+
+def test_nystrom_rejects_bad_grids_and_kernels():
+    _, _, _, kernels = kernel_set(2, 1.0)
+    kernel = kernels[0]
+
+    def rho(x, xp):
+        return kernel_value(kernel, x, xp)
+
+    grid = nystrom_grid(kernel)
+    with pytest.raises(ValueError, match="at least two points"):
+        nystrom_occupancies(rho, grid[:1], 5)
+    for bad in (grid[::-1], np.r_[grid[:5], np.nan, grid[6:]], np.r_[grid[:5], grid[4:]]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            nystrom_occupancies(rho, bad, 5)
+    with pytest.raises(ValueError, match="not finite"):
+        nystrom_occupancies(lambda x, xp: np.where(x == xp, np.inf, rho(x, xp)), grid, 5)
+    for not_psd in (lambda x, xp: -rho(x, xp), lambda x, xp: 1.0 - rho(x, xp)):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            nystrom_occupancies(not_psd, grid, 5)
+
+
 def test_independent_minimum_two_particles():
     spec = SystemSpec(2, Interaction.from_token(1.0))
     config = independent_minimum(spec)
