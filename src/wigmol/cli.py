@@ -118,30 +118,25 @@ def _d_token(token) -> str:
 # output
 
 
-def _cells(column, fmt: str) -> list[str]:
-    """One column's fields: JSON literals, or for CSV floats to 17 significant digits and ints and tokens as text."""
-    values = np.asarray(column)
-    items = values.tolist()
-    if fmt == "json":
-        return list(map(json.dumps, items))
-    if values.dtype.kind == "f":
-        return [format(v, ".17g") for v in items]
-    return list(map(str, items))
-
-
 def _render(table: dict, fmt: str) -> str:
     """The table as CSV, or as the JSON that ``json.dumps(rows, indent=2)`` writes for its row objects.
 
-    CSV fields are numbers and d tokens, which ``csv.writer`` never quotes, so they are joined as they are.
+    CSV fields are numbers and d tokens, which ``csv.writer`` never quotes,
+    so the body is one ``%`` call: a row template (``%.17g`` for float
+    columns, ``%s`` for the rest) repeated once per row, applied to the
+    cells in row-major order.
     """
     names = list(table)
-    columns = [_cells(table[name], fmt) for name in names]
+    columns = [np.asarray(table[name]) for name in names]
     if fmt == "csv":
-        return "".join(",".join(fields) + "\n" for fields in [names, *zip(*columns)])
-    if not columns[0]:
+        template = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
+        cells = np.array([column.tolist() for column in columns], dtype=object).T.ravel().tolist()
+        return ",".join(names) + "\n" + (template * len(columns[0])) % tuple(cells)
+    fields = [list(map(json.dumps, column.tolist())) for column in columns]
+    if not fields[0]:
         return "[]\n"
     row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
-    return "[\n" + ",\n".join(row % fields for fields in zip(*columns)) + "\n]\n"
+    return "[\n" + ",\n".join(row % values for values in zip(*fields)) + "\n]\n"
 
 
 def _emit(table: dict, args) -> None:

@@ -237,7 +237,9 @@ def solve_equilibrium(
     kind = ALPHA if spec.interaction.is_log_limit else BETA
     # Newton pairs the gradient with the raw curvature, twice the log-limit convention
     grad_scale = 0.5 if spec.interaction.is_log_limit else 1.0
-    landscape = _gradient_and_hessian(spec, _parity.unfold(half, n))
+    # a start may overflow the pair powers like any candidate; its infinite residual then fails the line search
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        landscape = _gradient_and_hessian(spec, _parity.unfold(half, n))
     value = None
     halvings = 0
     for iteration in range(1, max_iter + 1):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,12 +62,18 @@ def _tensor_rule(order: int, dims: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(t), _read_only(weight)
 
 
+# the bytes of on-site amplitude vectors one rule keeps
+_AMPLITUDE_MEMO_BYTES = 1 << 20
+
+
 @dataclass(frozen=True)
 class _SiteRule:
     """The parts of one site's quadrature that do not depend on (x, x'), for one (modes, site, order).
 
-    ``nodes`` holds the off-site node coordinates; each call overwrites
-    its on-site column in place.
+    ``nodes`` holds the off-site node coordinates; each amplitude pass
+    overwrites its on-site column in place.  ``amplitudes`` maps an
+    on-site offset ``x - center`` to its log-amplitude over the nodes, at
+    most ``_AMPLITUDE_MEMO_BYTES`` of them, oldest evicted first.
     """
 
     modes: NormalModes
@@ -78,6 +84,21 @@ class _SiteRule:
     t_squared: np.ndarray
     weight: np.ndarray
     jacobian: float
+    amplitudes: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def log_amplitude(self, offset: float) -> np.ndarray:
+        """Log of the wavepacket at every node with the on-site coordinate at ``offset``, memoized."""
+        vector = self.amplitudes.get(offset)
+        if vector is None:
+            self.nodes[:, self.site - 1] = offset
+            mode_coords = self.nodes @ self.modes.mode_matrix.T
+            vector = self.log_norm - 0.5 * (mode_coords**2) @ self.modes.frequencies
+            capacity = _AMPLITUDE_MEMO_BYTES // vector.nbytes
+            if capacity:
+                if len(self.amplitudes) >= capacity:
+                    del self.amplitudes[next(iter(self.amplitudes))]
+                self.amplitudes[offset] = vector
+        return vector
 
 
 # the last rule built; it holds its modes, so no later object can reuse their id
@@ -127,7 +148,10 @@ def quadrature_kernel(
     block, which makes the weight function exactly the Gauss-Hermite one,
     so convergence in ``points_per_dim`` is superexponential.  The nodes,
     weights and Jacobian of the last (modes, site, order) are kept, so a
-    run of calls at one site builds them once.
+    run of calls at one site builds them once.  That rule also keeps the
+    log-amplitude over its nodes of each on-site offset ``x - center``
+    (up to about 1 MB of them), so a grid of g values at one site costs
+    g node passes, not 2 g**2.
 
     Raises DimensionTooLarge beyond four particles (cost grows as
     points**(N-1)).
@@ -139,20 +163,9 @@ def quadrature_kernel(
     if not 1 <= site <= n:
         raise ValueError(f"site must lie in 1..{n}")
     rule = _site_rule(modes, site, quad.points_per_dim)
-    freqs = modes.frequencies
-    rows = modes.mode_matrix
-    idx = site - 1
-
-    def log_amplitude(points: np.ndarray) -> np.ndarray:
-        mode_coords = points @ rows.T
-        return rule.log_norm - 0.5 * (mode_coords**2) @ freqs
-
-    z = rule.nodes
-    z[:, idx] = x - config.positions[idx]
-    at_x = log_amplitude(z)
-    z[:, idx] = x_prime - config.positions[idx]
+    center = config.positions[site - 1]
     # the Gauss-Hermite weight exp(-|t|^2) is divided back out of the integrand
-    exponent = at_x + log_amplitude(z) + rule.t_squared
+    exponent = rule.log_amplitude(x - center) + rule.log_amplitude(x_prime - center) + rule.t_squared
     return float(rule.weight @ np.exp(exponent)) * rule.jacobian / n
 
 
@@ -344,16 +357,19 @@ def momentum_quadrature(kernels, k: float, points: int = 60) -> float:
 
     Integrates (1/2pi) * kernel(x, x') * cos(k (x - x')) per site with a
     tensor Gauss-Hermite rule, as an independent check of the analytic
-    per-site Fourier transform.
+    per-site Fourier transform.  The cosine is split as
+    ``cos(u)cos(u') + sin(u)sin(u')``, so each site costs one node-pair
+    exponential and two node vectors of trigonometric values.
     """
     nodes, weights = _hermite_rule(points)
-    mesh_s, mesh_sp = np.meshgrid(nodes, nodes, indexing="ij")
     weight = np.outer(weights, weights)
+    node_products = np.outer(nodes, nodes)
     total = 0.0
     for kernel in kernels:
-        scale = np.sqrt(kernel.a)
-        integrand = np.exp((kernel.b / kernel.a) * mesh_s * mesh_sp) * np.cos(k * (mesh_s - mesh_sp) / scale)
-        total += kernel.amplitude / (2.0 * np.pi * kernel.a) * float(np.sum(weight * integrand))
+        phase = (k / np.sqrt(kernel.a)) * nodes
+        cos, sin = np.cos(phase), np.sin(phase)
+        pair = weight * np.exp((kernel.b / kernel.a) * node_products)
+        total += kernel.amplitude / (2.0 * np.pi * kernel.a) * float(cos @ pair @ cos + sin @ pair @ sin)
     return total
 
 

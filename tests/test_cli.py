@@ -214,6 +214,18 @@ def test_solver_failure_names_its_state(capsys):
     assert "after 1 Newton iterations" in err
 
 
+def test_overflowing_start_fails_without_warnings():
+    source = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-W", "default", "-m", "wigmol", "density", "--n", "2", "--d", "1e300"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("numerical failure: N=2, d=1e+300:")
+    assert "gradient max-norm inf" in done.stderr
+    assert "Warning" not in done.stderr
+
+
 def test_missing_config_file_exits_2(capsys):
     status, _, err = run(["kernel", "--n", "2", "--d", "2", "--config", "/nonexistent.json"], capsys)
     assert status == 2

@@ -91,6 +91,17 @@ def test_column_writer_matches_the_row_writer(name, fmt, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_csv_is_the_per_value_join_byte_for_byte():
+    floats = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 1e17, 0.1]
+    tokens = [cli._d_token(d) for d in ("log", "inf", 0.5, 1e-3, 2.0, 1e5, 0.30000000000000004, 1.5)]
+    table = {"site": np.arange(1, len(floats) + 1), "d": tokens, "value": np.array(floats)}
+    rows = zip(table["site"].tolist(), tokens, floats)
+    expected = "site,d,value\n" + "".join(f"{str(i)},{str(d)},{format(v, '.17g')}\n" for i, d, v in rows)
+    assert cli._render(table, "csv") == expected
+    empty = {"site": np.array([], dtype=int), "d": [], "value": np.array([])}
+    assert cli._render(empty, "csv") == "site,d,value\n"
+
+
 @pytest.mark.parametrize("text", ["-20:20:0.005", "-8:8:0.02", "0.1:0.7:0.1", "-5:5:0.5", "3:3:1", "1e-3:2e-3:1e-5"])
 def test_real_grid_is_bitwise_the_list_of_start_plus_i_step(text):
     start, _, step = (float(p) for p in text.split(":"))

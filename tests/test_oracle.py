@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import kernel_set, solved
 from wigmol import (
+    Configuration,
     Interaction,
     QuadratureSpec,
     SystemSpec,
@@ -417,3 +418,63 @@ def test_quadrature_rule_memo_is_bitwise_the_uncached_integral():
             xp_site = config.positions[site - 1] + x_prime
             direct = quadrature_kernel(modes, config, site, x_site, xp_site, QuadratureSpec(order))
             assert direct == _uncached_quadrature_kernel(modes, config, site, x_site, xp_site, order)
+
+
+def test_amplitude_memo_is_bitwise_on_the_verify_grid():
+    for n in (2, 3):
+        _, config, modes, kernels = kernel_set(n, 1.0)
+        for kernel in kernels:
+            grid = np.linspace(kernel.center - 3 * kernel.width, kernel.center + 3 * kernel.width, 9)
+            for order in (20, 40):
+                for x in grid:
+                    for x_prime in grid:
+                        direct = quadrature_kernel(modes, config, kernel.site, x, x_prime, QuadratureSpec(order))
+                        assert direct == _uncached_quadrature_kernel(modes, config, kernel.site, x, x_prime, order)
+                # one node pass per grid value: the rule was rebuilt, so its memo started empty
+                assert len(oracle._last_site_rule.amplitudes) == grid.size
+
+
+def test_amplitude_memo_is_keyed_on_the_offset_from_the_center():
+    _, config, modes, _ = kernel_set(3, 1.0)
+    shifted = Configuration(config.positions + 0.25, config.coordinate_kind, config.residual)
+    values = []
+    for positions in (config, shifted, config):
+        values.append(quadrature_kernel(modes, positions, 2, 0.1, -0.2))
+        assert values[-1] == _uncached_quadrature_kernel(modes, positions, 2, 0.1, -0.2)
+    assert values[0] == values[2] != values[1]
+
+
+def test_amplitude_memo_stays_bitwise_after_eviction():
+    _, config, modes, kernels = kernel_set(4, 1.0)
+    width = kernels[1].width
+    offsets = [0.0, 0.5, -0.5, 1.0, 0.0, 0.5]
+    for x, x_prime in zip(offsets, offsets[::-1]):
+        x_site, xp_site = config.positions[1] + x * width, config.positions[1] + x_prime * width
+        direct = quadrature_kernel(modes, config, 2, x_site, xp_site)
+        assert direct == _uncached_quadrature_kernel(modes, config, 2, x_site, xp_site)
+        memo = oracle._last_site_rule.amplitudes
+        assert sum(vector.nbytes for vector in memo.values()) <= oracle._AMPLITUDE_MEMO_BYTES
+    assert len(memo) < len(set(offsets))
+
+
+def meshgrid_momentum_quadrature(kernels, k, points=60):
+    """The momentum integral with the cosine of the node difference taken on the whole node mesh."""
+    nodes, weights = np.polynomial.hermite.hermgauss(points)
+    mesh_s, mesh_sp = np.meshgrid(nodes, nodes, indexing="ij")
+    weight = np.outer(weights, weights)
+    total = 0.0
+    for kernel in kernels:
+        scale = np.sqrt(kernel.a)
+        integrand = np.exp((kernel.b / kernel.a) * mesh_s * mesh_sp) * np.cos(k * (mesh_s - mesh_sp) / scale)
+        total += kernel.amplitude / (2.0 * np.pi * kernel.a) * float(np.sum(weight * integrand))
+    return total
+
+
+@pytest.mark.parametrize("token", [0.5, 1.0, 2.0, "log"])
+@pytest.mark.parametrize("n", [2, 3, 5, 20])
+def test_split_cosine_momentum_matches_the_meshgrid_integral(n, token):
+    _, _, _, kernels = kernel_set(n, token)
+    for k in np.linspace(-8.0, 8.0, 33):
+        assert abs(momentum_quadrature(kernels, k) - meshgrid_momentum_quadrature(kernels, k)) <= 1e-14
+    for k in (0.0, 1.5, -7.25):
+        assert momentum_quadrature(list(kernels), k) == momentum_quadrature(kernels, k)
