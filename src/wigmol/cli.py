@@ -23,7 +23,8 @@ from .potential import Interaction, SystemSpec
 LOG_TOKEN = "log"
 INF_TOKEN = "inf"
 
-_DEFAULTS = {"format": "csv", "output": "-", "tol": 1e-12, "max_iter": 200, "tail_tol": 1e-12}
+_DEFAULTS = dict(format="csv", output="-", tail_tol=rdm.DEFAULT_TAIL_TOL,
+                 tol=equilibrium.DEFAULT_TOL, max_iter=equilibrium.DEFAULT_MAX_ITER)
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -327,12 +328,13 @@ def _apply_config(args, command: argparse.ArgumentParser) -> None:
             raise _BadRequest(f"--{attr} is required for this command")
 
 
-_VALUE_FLAGS = frozenset(
-    {"--n", "--d", "--k", "--x", "--g", "--spacing", "--d-aux", "--tol", "--max-iter", "--tail-tol", "--output", "--config", "--format"}
-)
+def _value_flags(commands: dict[str, argparse.ArgumentParser]) -> frozenset[str]:
+    """Every option string of every command that takes one value."""
+    actions = (action for command in commands.values() for action in command._actions if action.nargs is None)
+    return frozenset(flag for action in actions for flag in action.option_strings)
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
+def _join_negative_values(argv: list[str], value_flags: frozenset[str]) -> list[str]:
     """Turn ['--k', '-5:5:0.01'] into ['--k=-5:5:0.01'] so argparse accepts it."""
     merged: list[str] = []
     skip = False
@@ -341,7 +343,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
             skip = False
             continue
         nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if token in _VALUE_FLAGS and nxt is not None and nxt.startswith("-") and nxt not in _VALUE_FLAGS:
+        if token in value_flags and nxt is not None and nxt.startswith("-") and nxt not in value_flags:
             merged.append(f"{token}={nxt}")
             skip = True
         else:
@@ -353,7 +355,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, commands = _build_parser()
-    args = parser.parse_args(_join_negative_values(list(argv)))
+    args = parser.parse_args(_join_negative_values(list(argv), _value_flags(commands)))
     try:
         _apply_config(args, commands[args.command])
         table = args.handler(args)  # verify prints its lines and returns its status

@@ -13,11 +13,15 @@ import numpy as np
 
 from . import _parity
 from .errors import DegenerateHessian, InvalidScale, NoConvergence
-from .potential import SystemSpec, _gradient_and_hessian, _pair_mask, potential_value
+from .potential import SystemSpec, _gradient_and_hessian, _pair_mask
 
 BETA = "beta"
 ALPHA = "alpha"
 LATTICE = "lattice"
+
+# the solver defaults, which the command line reads too
+DEFAULT_TOL = 1e-12
+DEFAULT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -134,34 +138,27 @@ def _point(spec: SystemSpec) -> str:
     return f"N={spec.n_particles}, {label}"
 
 
-def _descend(spec: SystemSpec, half: np.ndarray, value: float | None, step: np.ndarray, grad_norm: float):
+def _descend(spec: SystemSpec, half: np.ndarray, step: np.ndarray, grad_norm: float):
     """Backtracking step on the right-half coordinates, or None if none is found.
 
-    Accepts the first candidate at which the gradient max-norm or the
-    landscape value drops.  Each candidate's (gradient, curvature) pass
-    comes first, since the next Newton point needs it anyway.  Values are
-    computed only for a candidate whose gradient does not drop; ``value``,
-    the value at ``half``, is computed then if it is None.  Returns the
-    accepted candidate, its value (None when the gradient test accepted
-    it), its pass and the number of step halvings before it.  A candidate
-    may overflow the pair powers; a non-finite gradient or value fails
-    both tests, so it is rejected without a warning.
+    Accepts the first ordered candidate at which the gradient max-norm
+    drops below ``grad_norm``.  The Newton step solves H step = -g, so to
+    first order every gradient component shrinks as (1 - t) g along it,
+    and this one test suffices everywhere above the floating-point floor.
+    Returns the accepted candidate, its (gradient, curvature) pass, which
+    the next Newton point reads, and the number of step halvings before
+    it.  A candidate may overflow the pair powers; a non-finite gradient
+    fails the test, so it is rejected without a warning.
     """
     n = spec.n_particles
     scale = 1.0
     for halvings in range(60):
         candidate = half + scale * step
         if _ordered(candidate):
-            pos = _parity.unfold(candidate, n)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                landscape = _gradient_and_hessian(spec, pos)
+                landscape = _gradient_and_hessian(spec, _parity.unfold(candidate, n))
                 if np.abs(landscape[0]).max() < grad_norm:
-                    return candidate, None, landscape, halvings
-                if value is None:
-                    value = potential_value(spec, _parity.unfold(half, n))
-                candidate_value = potential_value(spec, pos)
-            if candidate_value < value:
-                return candidate, candidate_value, landscape, halvings
+                    return candidate, landscape, halvings
         scale *= 0.5
     return None
 
@@ -177,8 +174,8 @@ def _check_minimum(spec: SystemSpec, even: np.ndarray, odd: np.ndarray):
 
 def solve_equilibrium(
     spec: SystemSpec,
-    tol: float = 1e-12,
-    max_iter: int = 200,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     initial_positions=None,
 ) -> Configuration:
     """Find the ordered minimum of the scaled landscape.
@@ -189,9 +186,8 @@ def solve_equilibrium(
     rows, which gives the gradient there and the curvature rows that the
     parity blocks read; the step solves only the odd block, which is the
     whole curvature on that subspace.  A backtracking line search accepts
-    the first candidate whose gradient max-norm or landscape value drops,
-    testing the gradient first: its pass is the next iterate's, and the
-    value is computed only when the gradient test fails.  For the
+    the first candidate whose gradient max-norm drops; its pass is the
+    next iterate's, and no landscape value is ever computed.  For the
     hard-core variant the exact unit lattice is returned unchanged.
 
     Parameters
@@ -240,7 +236,6 @@ def solve_equilibrium(
     # a start may overflow the pair powers like any candidate; its infinite residual then fails the line search
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         landscape = _gradient_and_hessian(spec, _parity.unfold(half, n))
-    value = None
     halvings = 0
     for iteration in range(1, max_iter + 1):
         grad, hess = landscape
@@ -252,13 +247,13 @@ def solve_equilibrium(
         # the entries run from the middle out; for odd N the first is the middle
         # site's, zero by symmetry up to roundoff, and the step leaves it out
         step = np.linalg.solve(odd, -grad_scale * grad[n % 2 :])
-        accepted = _descend(spec, half, value, step, residual)
+        accepted = _descend(spec, half, step, residual)
         if accepted is None:
             raise NoConvergence(
                 f"{_point(spec)}: Newton line search found no acceptable step "
                 f"in iteration {iteration} (gradient max-norm {residual:.3g}, tol {tol:g})"
             )
-        half, value, landscape, step_halvings = accepted
+        half, landscape, step_halvings = accepted
         halvings += step_halvings
     residual = float(np.abs(landscape[0]).max())
     raise NoConvergence(

@@ -26,16 +26,13 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Hermite order and grid extent (in site-width units)."""
+    """Gauss-Hermite order per dimension of the tensor rule."""
 
     points_per_dim: int = 40
-    grid_halfwidth: float = 8.0
 
     def __post_init__(self):
         if self.points_per_dim < 2:
             raise ValueError("points_per_dim must be at least 2")
-        if not self.grid_halfwidth > 0:
-            raise ValueError("grid_halfwidth must be positive")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -118,6 +118,29 @@ def test_density_hard_core(capsys):
     assert abs(float(rows[0][1]) - expected) < 1e-12
 
 
+def test_every_value_option_takes_a_value_starting_with_a_dash(capsys):
+    # argparse reads "-1e0" as a flag, not a negative number, so it reaches an
+    # option only joined to it; an option whose type or choices refuse it must
+    # then name the value rather than ask for one
+    parser, commands = cli._build_parser()
+    value_flags = cli._value_flags(commands)
+    flags = set()
+    for name, command in commands.items():
+        for action in command._actions:
+            if action.nargs is not None:
+                continue
+            for flag in action.option_strings:
+                argv = cli._join_negative_values([name, flag, "-1e0"], value_flags)
+                try:
+                    args = parser.parse_args(argv)
+                except SystemExit:
+                    assert "'-1e0'" in capsys.readouterr().err, (name, flag)
+                else:
+                    assert getattr(args, action.dest) == (action.type or str)("-1e0"), (name, flag)
+                flags.add(flag)
+    assert {"--n", "--d", "--k", "--x", "--tail-tol", "--format"} <= flags
+
+
 def test_density_with_coupling(capsys):
     status, out, _ = run(["density", "--n", "2", "--d", "2", "--g", "16"], capsys)
     assert status == 0

@@ -16,7 +16,7 @@ from wigmol import (
     potential_value,
     solve_equilibrium,
 )
-from wigmol import _parity
+from wigmol import _parity, potential
 from wigmol.equilibrium import ALPHA, BETA, LATTICE
 from wigmol.errors import InvalidScale, NoConvergence
 
@@ -196,11 +196,11 @@ def test_start_of_wrong_length_rejected():
 @pytest.mark.parametrize("n", [10, 100, 250])
 def test_hermite_start_needs_no_landscape_value(n, monkeypatch):
     # N = 10 and 100 stop at the start; N = 250 takes one Newton step, which
-    # lowers the gradient, so the line search never falls back to values
+    # the line search accepts on the gradient alone
     def refuse(*args):
         raise AssertionError("potential_value was called")
 
-    monkeypatch.setattr(equilibrium, "potential_value", refuse)
+    monkeypatch.setattr(potential, "potential_value", refuse)
     config = solve_equilibrium(SystemSpec(n, Interaction.log_limit()))
     assert config.residual <= 1e-12
 

@@ -33,8 +33,6 @@ from wigmol.oracle import random_admissible_positions
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(points_per_dim=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(grid_halfwidth=0.0)
 
 
 def test_quadrature_matches_density_at_center():
