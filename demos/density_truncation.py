@@ -8,6 +8,8 @@ delta_K reaches about 0.2.  This script draws the comparison for six
 fictitious lattice so that all of them fit on one axis.
 """
 
+import dataclasses
+
 import numpy as np
 
 from wigmol import (
@@ -15,10 +17,11 @@ from wigmol import (
     SystemSpec,
     all_site_kernels,
     compute_modes,
+    density_profile,
     fictitious_spacing,
-    natural_orbital,
+    lattice_guess,
     occupancy_spectrum,
-    site_density,
+    rank_n_density_approximation,
     solve_equilibrium,
 )
 
@@ -29,28 +32,24 @@ def molecule(n, d):
     spec = SystemSpec(n, Interaction.power_law(d))
     config = solve_equilibrium(spec)
     kernels = all_site_kernels(compute_modes(spec, config), config)
-    return kernels, occupancy_spectrum(kernels)
+    return spec, kernels, occupancy_spectrum(kernels)
 
 
-def profiles(kernels, spectrum):
+def profiles(spec, kernels, spectrum):
     spacing = fictitious_spacing(kernels)
-    centers = spacing * (2.0 * np.arange(1, len(kernels) + 1) - len(kernels) - 1) / 2.0
+    centers = spacing * lattice_guess(len(kernels)).positions
     pad = 4.0 * max(k.width for k in kernels)
     xs = np.linspace(centers[0] - pad, centers[-1] + pad, 1200)
-    exact = np.zeros_like(xs)
-    truncated = np.zeros_like(xs)
-    for kernel, ladder, center in zip(kernels, spectrum.ladders, centers):
-        shifted = kernel.__class__(kernel.site, center, kernel.amplitude, kernel.a, kernel.b, kernel.eta, kernel.y)
-        exact += site_density(shifted, xs)
-        truncated += ladder[0] * natural_orbital(shifted, 0, xs) ** 2
-    return xs, exact, truncated
+    exact = density_profile(kernels, spec, xs, spacing=spacing).values
+    relocated = dataclasses.replace(kernels, center=centers)
+    return xs, exact, rank_n_density_approximation(relocated, spectrum, xs)
 
 
 def main():
     rows = []
     for n, d in CASES:
-        kernels, spectrum = molecule(n, d)
-        xs, exact, truncated = profiles(kernels, spectrum)
+        spec, kernels, spectrum = molecule(n, d)
+        xs, exact, truncated = profiles(spec, kernels, spectrum)
         gap = np.max(exact - truncated) / np.max(exact)
         rows.append((n, d, spectrum.delta_k, gap, xs, exact, truncated))
         print(f"N={n} d={d:<4g} delta_K={spectrum.delta_k:.3f}  peak-relative truncation gap {gap:.3%}")

@@ -17,7 +17,7 @@ from .equilibrium import (
     physical_centers,
     solve_equilibrium,
 )
-from .modes import NormalModes, compute_modes, ground_state_precision, modes_from_hessian
+from .modes import NormalModes, compute_modes, ground_state_precision
 from .observables import (
     SampledFunction,
     default_k_grid,
@@ -84,7 +84,6 @@ __all__ = [
     "kernel_value",
     "lattice_guess",
     "leading_occupancy",
-    "modes_from_hessian",
     "momentum_distribution",
     "momentum_quadrature",
     "natural_orbital",

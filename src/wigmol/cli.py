@@ -120,7 +120,7 @@ def _d_token(token) -> str:
 
 
 def _render(table: dict, fmt: str) -> str:
-    """The table as CSV, or as the JSON that ``json.dumps(rows, indent=2)`` writes for its row objects.
+    """The table as CSV, or as ``json.dumps(rows, indent=2)`` of its row objects.
 
     CSV fields are numbers and d tokens, which ``csv.writer`` never quotes,
     so the body is one ``%`` call: a row template (``%.17g`` for float
@@ -133,11 +133,8 @@ def _render(table: dict, fmt: str) -> str:
         template = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
         cells = np.array([column.tolist() for column in columns], dtype=object).T.ravel().tolist()
         return ",".join(names) + "\n" + (template * len(columns[0])) % tuple(cells)
-    fields = [list(map(json.dumps, column.tolist())) for column in columns]
-    if not fields[0]:
-        return "[]\n"
-    row = "  {\n" + ",\n".join(f"    {json.dumps(name)}: %s" for name in names) + "\n  }"
-    return "[\n" + ",\n".join(row % values for values in zip(*fields)) + "\n]\n"
+    rows = [dict(zip(names, values)) for values in zip(*(column.tolist() for column in columns))]
+    return json.dumps(rows, indent=2) + "\n"
 
 
 def _emit(table: dict, args) -> None:

@@ -195,10 +195,10 @@ def solve_equilibrium(
     spec : SystemSpec
     tol : float
         Convergence threshold on the gradient max-norm over the middle and
-        right-half sites.  Around 1e-12 is
-        reachable for moderate d; for very large exponents (d >~ 1e4) the
-        power-law terms cannot be evaluated much better than d times
-        machine epsilon, so a looser tol is required there.
+        right-half sites.  Around 1e-12 is reachable for moderate d and N;
+        for very large exponents (d >~ 1e4) the power-law terms cannot be
+        evaluated much better than d times machine epsilon, so a looser
+        tol is required there.
     max_iter : int
         Newton iteration budget.
     initial_positions : array_like, optional

@@ -8,8 +8,7 @@ translation invariant.
 
 At a solved chain the curvature commutes with site reversal, so
 :func:`compute_modes` diagonalizes its even and odd parity blocks
-separately; :func:`modes_from_hessian` is the path for a general
-symmetric matrix.
+separately, each about half the size of the whole matrix.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from . import _parity
 from .equilibrium import Configuration, _point
 from .errors import NegativeEigenvalue, UnsupportedLimit
 from .potential import SystemSpec, _gradient_and_hessian
-
-_DEGENERACY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class NormalModes:
         return self.frequencies.size
 
 
-def _fix_signs(rows: np.ndarray, width: int | None = None) -> np.ndarray:
+def _fix_signs(rows: np.ndarray, width: int) -> np.ndarray:
     """Flip rows in place so that the largest-magnitude entry among the first ``width`` is positive.
 
     Reproducibility convention; ``argmax`` takes the first of tied entries.
@@ -55,43 +52,6 @@ def _fix_signs(rows: np.ndarray, width: int | None = None) -> np.ndarray:
     peak = head[np.arange(rows.shape[0]), np.argmax(np.abs(head), axis=1)]
     rows[peak < 0] *= -1.0
     return rows
-
-
-def _order_degenerate(freqs: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort mode vectors lexicographically inside degenerate frequency groups."""
-    order = list(range(freqs.size))
-    start = 0
-    while start < freqs.size:
-        stop = start
-        while stop + 1 < freqs.size and freqs[stop + 1] - freqs[start] <= _DEGENERACY_RTOL * max(1.0, freqs[start]):
-            stop += 1
-        if stop > start:
-            group = sorted(order[start : stop + 1], key=lambda idx: tuple(rows[idx]))
-            order[start : stop + 1] = group
-        start = stop + 1
-    return freqs[order], rows[order]
-
-
-def modes_from_hessian(hessian: np.ndarray) -> NormalModes:
-    """Diagonalize a general symmetric curvature matrix into normal modes.
-
-    Exactly degenerate frequencies get their mode vectors in lexicographic
-    order.  Raises NegativeEigenvalue (a DegenerateHessian) if any eigenvalue is
-    not positive, which signals a saddle rather than a minimum; its message
-    names the matrix size and how many eigenvalues are not positive.
-    """
-    eigenvalues, eigenvectors = np.linalg.eigh(hessian)
-    if eigenvalues[0] <= 0:
-        size = eigenvalues.size
-        count = int(np.count_nonzero(eigenvalues <= 0))
-        raise NegativeEigenvalue(
-            f"smallest curvature eigenvalue is {eigenvalues[0]:g}; "
-            f"{count} of the {size} eigenvalues of the {size}x{size} matrix are not positive"
-        )
-    frequencies = np.sqrt(eigenvalues)
-    rows = _fix_signs(eigenvectors.T)
-    frequencies, rows = _order_degenerate(frequencies, rows)
-    return NormalModes(frequencies, rows)
 
 
 def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:

@@ -301,13 +301,14 @@ def _parabolic_sweeps(spec, half, step, max_sweeps, move_tol):
     return half
 
 
-def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
+def independent_minimum(spec: SystemSpec) -> Configuration:
     """Re-find the ordered minimum without derivatives.
 
     Cyclic golden-section search per coordinate from the plain unit
-    lattice, followed by parabolic-fit polish sweeps that push the result
-    well below ``tol`` despite working from function values only.  Meant
-    for cross-checking the Newton solver at small N.
+    lattice (to 1e-7 per coordinate), followed by parabolic-fit polish
+    sweeps that settle once no coordinate moves by 1e-11, despite working
+    from function values only.  Meant for cross-checking the Newton
+    solver at small N.
 
     Only the N//2 right-half coordinates are searched; the left half is
     their mirror image and the middle site of an odd chain sits at zero.
@@ -323,9 +324,6 @@ def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
         raise UnsupportedLimit("the hard-core equilibrium is the lattice itself")
     n = spec.n_particles
     m = n // 2
-    golden_xtol = min(1e-7, tol * 10.0)
-    golden_settle = min(1e-6, tol * 100.0)
-    polish_settle = min(1e-11, tol / 10.0)
 
     half = lattice_guess(n).positions[n - m :].copy()
     for sweep in range(400):
@@ -334,31 +332,31 @@ def independent_minimum(spec: SystemSpec, tol: float = 1e-8) -> Configuration:
             # the first right-half site only has to stay right of its mirror (or the middle site)
             lo = half[k - 1] + 1e-9 if k > 0 else 1e-9
             hi = half[k + 1] - 1e-9 if k < m - 1 else half[k] + 3.0
-            best = _golden_section(_line_energy(spec, half, k), lo, hi, golden_xtol)
+            best = _golden_section(_line_energy(spec, half, k), lo, hi, 1e-7)
             moved = max(moved, abs(best - half[k]))
             half[k] = best
-        if moved < golden_settle:
+        if moved < 1e-6:
             break
     else:
         raise NoConvergence("coordinate descent did not settle within 400 sweeps")
-    half = _parabolic_sweeps(spec, half, 1e-5, 300, polish_settle)
-    half = _parabolic_sweeps(spec, half, 3e-6, 100, polish_settle)
+    half = _parabolic_sweeps(spec, half, 1e-5, 300, 1e-11)
+    half = _parabolic_sweeps(spec, half, 3e-6, 100, 1e-11)
     positions = np.concatenate((-half[::-1], np.zeros(n % 2), half))
     residual = float(np.max(np.abs(potential_gradient(spec, positions))))
     kind = ALPHA if spec.interaction.is_log_limit else BETA
     return Configuration(positions, kind, residual)
 
 
-def momentum_quadrature(kernels, k: float, points: int = 60) -> float:
+def momentum_quadrature(kernels, k: float) -> float:
     """Two-dimensional quadrature of the momentum integral at one k.
 
     Integrates (1/2pi) * kernel(x, x') * cos(k (x - x')) per site with a
-    tensor Gauss-Hermite rule, as an independent check of the analytic
+    60x60 tensor Gauss-Hermite rule, as an independent check of the analytic
     per-site Fourier transform.  The cosine is split as
     ``cos(u)cos(u') + sin(u)sin(u')``, so each site costs one node-pair
     exponential and two node vectors of trigonometric values.
     """
-    nodes, weights = _hermite_rule(points)
+    nodes, weights = _hermite_rule(60)
     weight = np.outer(weights, weights)
     node_products = np.outer(nodes, nodes)
     total = 0.0
@@ -392,10 +390,10 @@ def fd_jacobian(vector_func, positions: np.ndarray, step: float = 1e-5) -> np.nd
     return np.stack(columns, axis=1)
 
 
-def random_admissible_positions(rng: np.random.Generator, n: int, min_gap: float = 0.4, span: float = 3.0) -> np.ndarray:
-    """Sorted random positions with a guaranteed minimum pair separation."""
+def random_admissible_positions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Sorted random positions in [-3, 3] with every pair at least 0.4 apart."""
     for _ in range(1000):
-        candidate = np.sort(rng.uniform(-span, span, size=n))
-        if np.all(np.diff(candidate) >= min_gap):
+        candidate = np.sort(rng.uniform(-3.0, 3.0, size=n))
+        if np.all(np.diff(candidate) >= 0.4):
             return candidate
-    raise NoConvergence("could not draw well-separated positions; lower min_gap or raise span")
+    raise NoConvergence(f"could not draw {n} positions in [-3, 3] with every pair at least 0.4 apart")

@@ -74,10 +74,6 @@ class Interaction:
         return cls(_HARD_CORE)
 
     @property
-    def is_power_law(self) -> bool:
-        return self.kind == _POWER_LAW
-
-    @property
     def is_log_limit(self) -> bool:
         return self.kind == _LOG_LIMIT
 

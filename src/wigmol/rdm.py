@@ -310,10 +310,6 @@ class OccupancySpectrum:
         object.__setattr__(self, "ladders", tuple(ladders))
 
     @property
-    def n_sites(self) -> int:
-        return len(self.ladders)
-
-    @property
     def l_max(self) -> int:
         return max(ladder.size for ladder in self.ladders) - 1
 

@@ -8,7 +8,6 @@ from wigmol import (
     SystemSpec,
     compute_modes,
     ground_state_precision,
-    modes_from_hessian,
     physical_centers,
     potential_hessian,
     solve_equilibrium,
@@ -102,23 +101,6 @@ def test_parity_blocks_carry_the_full_spectrum(n):
     assert np.array_equal(_parity.fold(_parity.unfold(half, n)), half)
 
 
-def test_degenerate_block_ordering():
-    # two identical diagonal blocks force an exactly degenerate pair
-    hess = np.diag([1.0, 1.0, 3.0])
-    modes = modes_from_hessian(hess)
-    assert_allclose(modes.frequencies, [1.0, 1.0, np.sqrt(3.0)])
-    first, second = modes.mode_matrix[0], modes.mode_matrix[1]
-    assert tuple(first) <= tuple(second)
-
-
-def test_saddle_raises_degenerate_hessian():
-    saddle = np.diag([-0.5, 1.0, 2.0])
-    with pytest.raises(NegativeEigenvalue):
-        modes_from_hessian(saddle)
-    with pytest.raises(DegenerateHessian):
-        modes_from_hessian(saddle)
-
-
 @pytest.mark.parametrize("n,token,label", [(4, 1.0, "N=4, d=1"), (5, "log", "N=5, log limit")])
 def test_negative_curvature_names_its_point_and_block(monkeypatch, n, token, label):
     spec, config = solved(n, token)
@@ -135,6 +117,8 @@ def test_negative_curvature_names_its_point_and_block(monkeypatch, n, token, lab
     message = str(failure.value)
     assert message.startswith(f"smallest curvature eigenvalue is {-tops[block]:g}")
     assert f"{block} parity block at {label}" in message
+    # the CLI exits 3 on a DegenerateHessian, so this error must be one
+    assert isinstance(failure.value, DegenerateHessian)
 
 
 def test_hard_core_has_no_modes():
@@ -189,10 +173,3 @@ def test_hessian_is_coupling_independent(token, g):
     hess_fd = fd_jacobian(gradient, centers, step=step)
     hess_scaled = potential_hessian(spec, config.positions)
     assert np.max(np.abs(hess_fd - hess_scaled)) / max(1.0, np.max(np.abs(hess_scaled))) <= 1e-5
-
-
-def test_general_saddle_message_names_size_and_count():
-    saddle = np.diag([-0.5, -0.25, 1.0, 2.0])
-    message = r"^smallest curvature eigenvalue is -0\.5; 2 of the 4 eigenvalues of the 4x4 matrix are not positive$"
-    with pytest.raises(NegativeEigenvalue, match=message):
-        modes_from_hessian(saddle)
