@@ -11,24 +11,14 @@ N-orbital truncation of the density matrix stops being trustworthy.
 
 import numpy as np
 
-from wigmol import (
-    Interaction,
-    SystemSpec,
-    all_site_kernels,
-    compute_modes,
-    occupancy_spectrum,
-    solve_equilibrium,
-)
+from wigmol import Interaction, SystemSpec, occupancy_spectrum, pipeline
 
 TOKENS = [("log", Interaction.log_limit())] + [(f"d={d:g}", Interaction.power_law(d)) for d in (0.5, 1.0, 2.0, 6.0)]
 N_RANGE = range(2, 31)
 
 
 def correlation_K(n, interaction):
-    spec = SystemSpec(n, interaction)
-    config = solve_equilibrium(spec)
-    kernels = all_site_kernels(compute_modes(spec, config), config)
-    return occupancy_spectrum(kernels).degree_of_correlation
+    return occupancy_spectrum(pipeline(SystemSpec(n, interaction)).kernels).degree_of_correlation
 
 
 def main():

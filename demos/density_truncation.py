@@ -15,24 +15,15 @@ import numpy as np
 from wigmol import (
     Interaction,
     SystemSpec,
-    all_site_kernels,
-    compute_modes,
     density_profile,
     fictitious_spacing,
     lattice_guess,
     occupancy_spectrum,
+    pipeline,
     rank_n_density_approximation,
-    solve_equilibrium,
 )
 
 CASES = [(2, 2.0), (2, 10.0), (3, 2.0), (3, 6.0), (4, 2.0), (4, 4.0)]
-
-
-def molecule(n, d):
-    spec = SystemSpec(n, Interaction.power_law(d))
-    config = solve_equilibrium(spec)
-    kernels = all_site_kernels(compute_modes(spec, config), config)
-    return spec, kernels, occupancy_spectrum(kernels)
 
 
 def profiles(spec, kernels, spectrum):
@@ -48,8 +39,9 @@ def profiles(spec, kernels, spectrum):
 def main():
     rows = []
     for n, d in CASES:
-        spec, kernels, spectrum = molecule(n, d)
-        xs, exact, truncated = profiles(spec, kernels, spectrum)
+        molecule = pipeline(SystemSpec(n, Interaction.power_law(d)))
+        spectrum = occupancy_spectrum(molecule.kernels)
+        xs, exact, truncated = profiles(molecule.spec, molecule.kernels, spectrum)
         gap = np.max(exact - truncated) / np.max(exact)
         rows.append((n, d, spectrum.delta_k, gap, xs, exact, truncated))
         print(f"N={n} d={d:<4g} delta_K={spectrum.delta_k:.3f}  peak-relative truncation gap {gap:.3%}")

@@ -17,35 +17,26 @@ import numpy as np
 from wigmol import (
     Interaction,
     SystemSpec,
-    all_site_kernels,
-    compute_modes,
     hardcore_density,
     lattice_guess,
     occupancy_spectrum,
     physical_centers,
+    pipeline,
     site_density,
-    solve_equilibrium,
 )
-
-
-def pipeline(n, interaction, tol=1e-12):
-    spec = SystemSpec(n, interaction)
-    config = solve_equilibrium(spec, tol=tol)
-    kernels = all_site_kernels(compute_modes(spec, config), config)
-    return spec, config, kernels
 
 
 def small_d_side(n=4, g=1e6):
     print(f"== small-d limit, N={n}, physical centers at g={g:g} ==")
-    log_spec, log_config, log_kernels = pipeline(n, Interaction.log_limit())
-    log_k = occupancy_spectrum(log_kernels).degree_of_correlation
+    log_molecule = pipeline(SystemSpec(n, Interaction.log_limit()))
+    log_k = occupancy_spectrum(log_molecule.kernels).degree_of_correlation
     print(f"{'route':>12}  {'outer center':>13}  {'K':>8}")
     for d in (0.2, 0.1, 0.05, 0.02):
-        spec, config, kernels = pipeline(n, Interaction.power_law(d))
-        centers = physical_centers(config, spec, g)
-        k_value = occupancy_spectrum(kernels).degree_of_correlation
+        molecule = pipeline(SystemSpec(n, Interaction.power_law(d)))
+        centers = physical_centers(molecule.config, molecule.spec, g)
+        k_value = occupancy_spectrum(molecule.kernels).degree_of_correlation
         print(f"{'d=' + format(d, 'g'):>12}  {centers[-1]:13.5f}  {k_value:8.4f}")
-        log_centers = physical_centers(log_config, log_spec, g, d_aux=d)
+        log_centers = physical_centers(log_molecule.config, log_molecule.spec, g, d_aux=d)
         print(f"{'log @ ' + format(d, 'g'):>12}  {log_centers[-1]:13.5f}  {log_k:8.4f}")
     print("(the log route reuses one solve; its centers rescale with the d it is paired with)\n")
 
@@ -55,9 +46,9 @@ def large_d_side(n=3):
     lattice = lattice_guess(n).positions
     print(f"{'d':>8}  {'max|pos - lattice|':>18}  {'-2a+b (outer)':>14}  {'y (outer)':>10}")
     for d, tol in ((1e2, 1e-12), (1e4, 1e-9), (1e6, 1e-9)):
-        _, config, kernels = pipeline(n, Interaction.power_law(d), tol=tol)
-        gap = np.max(np.abs(config.positions - lattice))
-        outer = kernels[0]
+        molecule = pipeline(SystemSpec(n, Interaction.power_law(d)), tol=tol)
+        gap = np.max(np.abs(molecule.config.positions - lattice))
+        outer = molecule.kernels[0]
         print(f"{d:>8g}  {gap:18.2e}  {outer.b - 2 * outer.a:14.6f}  {outer.y:10.6f}")
     profile = hardcore_density(n)
     peak = np.max(profile.values)
@@ -83,9 +74,8 @@ def main():
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.plot(profile.abscissae, profile.values, label="hard-core limit")
     for d, tol in ((10.0, 1e-12), (100.0, 1e-12)):
-        spec, config, kernels = pipeline(n, Interaction.power_law(d), tol=tol)
         total = np.zeros_like(profile.abscissae)
-        for kernel in kernels:
+        for kernel in pipeline(SystemSpec(n, Interaction.power_law(d)), tol=tol).kernels:
             total += site_density(kernel, profile.abscissae)
         ax.plot(profile.abscissae, total, "--", label=f"d={d:g}")
     ax.set_xlabel("x (scaled)")

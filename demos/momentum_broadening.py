@@ -7,23 +7,13 @@ All curves integrate to one; their variance grows monotonically with d.
 
 import numpy as np
 
-from wigmol import (
-    Interaction,
-    SystemSpec,
-    all_site_kernels,
-    compute_modes,
-    momentum_distribution,
-    solve_equilibrium,
-)
+from wigmol import Interaction, SystemSpec, momentum_distribution, pipeline
 
 D_VALUES = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
 
 
 def two_particle_momentum(d, grid):
-    spec = SystemSpec(2, Interaction.power_law(d))
-    config = solve_equilibrium(spec)
-    kernels = all_site_kernels(compute_modes(spec, config), config)
-    return momentum_distribution(kernels, grid)
+    return momentum_distribution(pipeline(SystemSpec(2, Interaction.power_law(d))).kernels, grid)
 
 
 def main():

@@ -1,11 +1,13 @@
 """Harmonic-approximation toolkit for one-dimensional Wigner molecules.
 
-Pipeline: pick an interaction (a power-law exponent d, its logarithmic
-small-d limit, or the hard-core limit), solve the classical equilibrium in
-scaled coordinates, expand harmonically into normal modes, marginalize
-the ground-state wavepacket into per-site Gaussian kernels, and read off
-natural orbitals, occupancy ladders, correlation measures, densities and
-momentum distributions in closed form.  Everything closed-form is backed
+Pick an interaction (a power-law exponent d, its logarithmic small-d
+limit, or the hard-core limit); :func:`pipeline` solves the classical
+equilibrium in scaled coordinates, expands harmonically into normal modes
+and marginalizes the ground-state wavepacket into per-site Gaussian
+kernels, all kept in one :class:`Molecule`.  Natural orbitals, occupancy
+ladders, correlation measures, densities and momentum distributions
+follow in closed form.  The hard core has no normal modes, only its
+lattice and :func:`hardcore_density`.  Everything closed-form is backed
 by brute-force validators in :mod:`wigmol.oracle`.
 """
 
@@ -44,6 +46,7 @@ from .potential import (
 )
 from .rdm import (
     KernelSet,
+    Molecule,
     OccupancySpectrum,
     SiteKernel,
     all_site_kernels,
@@ -52,6 +55,7 @@ from .rdm import (
     natural_orbital,
     occupancy,
     occupancy_spectrum,
+    pipeline,
     rank_n_density_approximation,
     site_density,
     site_kernel,
@@ -64,6 +68,7 @@ __all__ = [
     "Configuration",
     "Interaction",
     "KernelSet",
+    "Molecule",
     "NormalModes",
     "OccupancySpectrum",
     "QuadratureSpec",
@@ -92,6 +97,7 @@ __all__ = [
     "occupancy",
     "occupancy_spectrum",
     "physical_centers",
+    "pipeline",
     "potential_gradient",
     "potential_hessian",
     "potential_value",

@@ -11,13 +11,7 @@ import sys
 import numpy as np
 
 from . import equilibrium, modes, observables, rdm, verification
-from .errors import (
-    DegenerateHessian,
-    InfiniteDegeneracy,
-    InvalidScale,
-    NoConvergence,
-    UnsupportedLimit,
-)
+from .errors import InvalidScale, UnsupportedLimit, WigmolError
 from .potential import Interaction, SystemSpec
 
 LOG_TOKEN = "log"
@@ -151,16 +145,13 @@ def _emit(table: dict, args) -> None:
 # shared pipeline
 
 
-def _solve(n: int, token, tol: float, max_iter: int):
+def _solve(n: int, token, args):
     spec = SystemSpec(n, Interaction.from_token(token))
-    return spec, equilibrium.solve_equilibrium(spec, tol=tol, max_iter=max_iter)
+    return spec, equilibrium.solve_equilibrium(spec, tol=args.tol, max_iter=args.max_iter)
 
 
-def _kernel_pipeline(n: int, token, tol: float, max_iter: int):
-    if token == INF_TOKEN:
-        raise InfiniteDegeneracy("occupancies collapse to zero in the hard-core limit; use the density command instead")
-    spec, config = _solve(n, token, tol, max_iter)
-    return spec, rdm.all_site_kernels(modes.compute_modes(spec, config), config)
+def _molecule(n: int, token, args) -> rdm.Molecule:
+    return rdm.pipeline(SystemSpec(n, Interaction.from_token(token)), tol=args.tol, max_iter=args.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -169,22 +160,19 @@ def _kernel_pipeline(n: int, token, tol: float, max_iter: int):
 
 def _cmd_equilibrium(args) -> dict:
     n, token = _one_point(args)
-    _, config = _solve(n, token, args.tol, args.max_iter)
+    _, config = _solve(n, token, args)
     return {"site": np.arange(1, n + 1), "position": config.positions}
 
 
 def _cmd_modes(args) -> dict:
     n, token = _one_point(args)
-    if token == INF_TOKEN:
-        raise _BadRequest("normal modes are undefined in the hard-core limit")
-    spec, config = _solve(n, token, args.tol, args.max_iter)
-    frequencies = modes.compute_modes(spec, config).frequencies
+    frequencies = modes.compute_modes(*_solve(n, token, args)).frequencies
     return {"mode": np.arange(1, frequencies.size + 1), "frequency": frequencies}
 
 
 def _cmd_kernel(args) -> dict:
     n, token = _one_point(args)
-    _, k = _kernel_pipeline(n, token, args.tol, args.max_iter)
+    k = _molecule(n, token, args).kernels
     return {
         "site": np.arange(1, n + 1), "center": k.center, "A": k.amplitude, "a": k.a,
         "b": k.b, "eta": k.eta, "y": k.y, "lambda0": rdm.leading_occupancy(k),
@@ -193,8 +181,7 @@ def _cmd_kernel(args) -> dict:
 
 def _cmd_spectrum(args) -> dict:
     n, token = _one_point(args)
-    _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
-    ladders = rdm.occupancy_spectrum(kernels, tail_tol=args.tail_tol).ladders
+    ladders = rdm.occupancy_spectrum(_molecule(n, token, args).kernels, tail_tol=args.tail_tol).ladders
     lengths = np.fromiter(map(len, ladders), dtype=int, count=n)
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     rungs = np.arange(starts.size) - starts
@@ -204,8 +191,7 @@ def _cmd_spectrum(args) -> dict:
 def _cmd_scan_k(args) -> dict:
     points = []
     for n, token in itertools.product(_parse_int_list(args.n), _parse_d_list(args.d)):
-        _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
-        spectrum = rdm.occupancy_spectrum(kernels)
+        spectrum = rdm.occupancy_spectrum(_molecule(n, token, args).kernels)
         points.append((n, _d_token(token), spectrum.degree_of_correlation, spectrum.delta_k))
     return dict(zip(("n", "d", "K", "delta_K"), zip(*points)))
 
@@ -216,18 +202,17 @@ def _cmd_density(args) -> dict:
     if token == INF_TOKEN:
         profile = observables.hardcore_density(n, x_grid)
     else:
-        spec, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
-        profile = observables.density_profile(kernels, spec, x_grid, g=args.g, spacing=args.spacing, d_aux=args.d_aux)
+        molecule = _molecule(n, token, args)
+        profile = observables.density_profile(
+            molecule.kernels, molecule.spec, x_grid, g=args.g, spacing=args.spacing, d_aux=args.d_aux
+        )
     return {"abscissa": profile.abscissae, "value": profile.values}
 
 
 def _cmd_momentum(args) -> dict:
     n, token = _one_point(args)
-    if token == INF_TOKEN:
-        raise _BadRequest("the momentum distribution is not defined in the hard-core limit")
     k_grid = _parse_real_grid(args.k) if args.k else None
-    _, kernels = _kernel_pipeline(n, token, args.tol, args.max_iter)
-    distribution = observables.momentum_distribution(kernels, k_grid)
+    distribution = observables.momentum_distribution(_molecule(n, token, args).kernels, k_grid)
     return {"abscissa": distribution.abscissae, "value": distribution.values}
 
 
@@ -360,10 +345,10 @@ def main(argv=None) -> int:
             return table
         _emit(table, args)
         return 0
-    except (_BadRequest, InfiniteDegeneracy, UnsupportedLimit, InvalidScale, ValueError) as exc:
+    except (_BadRequest, UnsupportedLimit, InvalidScale, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, DegenerateHessian, np.linalg.LinAlgError) as exc:
+    except (WigmolError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

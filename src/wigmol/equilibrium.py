@@ -19,7 +19,7 @@ BETA = "beta"
 ALPHA = "alpha"
 LATTICE = "lattice"
 
-# the solver defaults, which the command line reads too
+# the solver defaults, which rdm.pipeline and the command line read too
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
 
@@ -214,12 +214,16 @@ def solve_equilibrium(
 
     Raises
     ------
+    ValueError
+        Unless ``tol >= 0`` and ``max_iter >= 1``.
     NoConvergence
         If the budget runs out or no descent step exists; the message
         names N, the interaction, the last residual and the iterations.
     DegenerateHessian
         If the curvature is not positive definite at the solution.
     """
+    if not (tol >= 0 and max_iter >= 1):
+        raise ValueError(f"the solver needs tol >= 0 and max_iter >= 1, got tol={tol!r}, max_iter={max_iter!r}")
     if spec.interaction.is_hard_core:
         return lattice_guess(spec.n_particles)
     n = spec.n_particles
@@ -264,15 +268,15 @@ def solve_equilibrium(
 
 def coordinate_scale(spec: SystemSpec, g: float, d_aux: float | None = None) -> float:
     """Factor mapping scaled coordinates to physical ones at coupling g."""
-    if not g > 0:
-        raise InvalidScale("the coupling strength g must be positive")
+    if not 0 < g < np.inf:
+        raise InvalidScale("the coupling strength g must be positive and finite")
     interaction = spec.interaction
     if interaction.is_hard_core:
         # g**(1/(2+d)) -> 1 as d -> infinity
         return 1.0
     if interaction.is_log_limit:
-        if d_aux is None or not d_aux > 0:
-            raise InvalidScale("the log limit needs a positive auxiliary exponent d_aux")
+        if d_aux is None or not 0 < d_aux < np.inf:
+            raise InvalidScale("the log limit needs a positive and finite auxiliary exponent d_aux")
         return float(np.sqrt(d_aux * g))
     return float(g ** (1.0 / (2.0 + interaction.d)))
 

@@ -26,7 +26,7 @@ class NegativeEigenvalue(DegenerateHessian):
 
 
 class InvalidScale(WigmolError):
-    """A coordinate-scaling parameter (g or d_aux) is not positive."""
+    """A coordinate-scaling parameter (g or d_aux) is not positive and finite."""
 
 
 class SingularBlock(WigmolError):
@@ -39,7 +39,3 @@ class SingularBlock(WigmolError):
 
 class DimensionTooLarge(WigmolError):
     """Brute-force quadrature was requested for too many particles."""
-
-
-class InfiniteDegeneracy(WigmolError):
-    """Occupancies were requested in the hard-core limit, where they all collapse to zero."""

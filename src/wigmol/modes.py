@@ -68,7 +68,8 @@ def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     eigenvalue; its message names N, the interaction and the block.
     """
     if spec.interaction.is_hard_core:
-        raise UnsupportedLimit("the hard-core limit has no harmonic expansion")
+        raise UnsupportedLimit("the hard-core limit has no harmonic expansion; only its "
+                               "unit-lattice equilibrium and hardcore_density exist there")
     hess = _gradient_and_hessian(spec, config.positions)[1]
     even_values, even_vectors = np.linalg.eigh(_parity.even_block(hess))
     odd_values, odd_vectors = np.linalg.eigh(_parity.odd_block(hess))

@@ -17,7 +17,7 @@ from .rdm import KernelSet, _scalar_power, _site_sum
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A non-negative function tabulated on a strictly increasing grid."""
+    """A finite, non-negative function tabulated on a strictly increasing finite grid."""
 
     abscissae: np.ndarray
     values: np.ndarray
@@ -27,6 +27,8 @@ class SampledFunction:
         vals = np.array(self.values, dtype=float)
         if grid.shape != vals.shape or grid.ndim != 1:
             raise ValueError("abscissae and values must be 1-d arrays of equal length")
+        if not (np.isfinite(grid).all() and np.isfinite(vals).all()):
+            raise ValueError("abscissae and values must be finite")
         if (np.diff(grid) <= 0).any():
             raise ValueError("abscissae must be strictly increasing")
         if (vals < 0).any():
@@ -88,7 +90,8 @@ def density_profile(
     coupling ``g`` (pass ``d_aux`` as well for the log limit) or on an
     equispaced fictitious lattice with the given ``spacing``, the usual
     device for drawing the infinite-coupling profile on one axis.  With
-    neither given, :func:`fictitious_spacing` is used.  Peak shapes stay
+    neither given, :func:`fictitious_spacing` is used.  ``g``, ``d_aux``
+    and ``spacing`` must be positive and finite.  Peak shapes stay
     in scaled coordinates, so the profile integrates to one regardless of
     placement.
     """
@@ -100,6 +103,8 @@ def density_profile(
     else:
         if spacing is None:
             spacing = fictitious_spacing(kernels)
+        if not 0 < spacing < np.inf:
+            raise ValueError(f"the lattice spacing must be positive and finite, got {spacing!r}")
         centers = spacing * lattice_guess(len(kernels)).positions
     x = default_x_grid(kernels, centers) if x_grid is None else np.asarray(x_grid, dtype=float)
     exponent = -(2.0 * kernels.a - kernels.b)  # rdm.site_density, at the relocated centers

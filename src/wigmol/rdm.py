@@ -41,9 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import Configuration
+from .equilibrium import DEFAULT_MAX_ITER, DEFAULT_TOL, Configuration, solve_equilibrium
 from .errors import SingularBlock
-from .modes import NormalModes
+from .modes import NormalModes, compute_modes
+from .potential import SystemSpec
 
 DEFAULT_TAIL_TOL = 1e-12
 _LADDER_CAP = 200_000
@@ -230,6 +231,26 @@ def all_site_kernels(modes: NormalModes, config: Configuration) -> KernelSet:
     return KernelSet(config.positions, *params)
 
 
+@dataclass(frozen=True)
+class Molecule:
+    """One solved (N, d) point: its equilibrium, normal modes and site kernels."""
+
+    spec: SystemSpec
+    config: Configuration
+    modes: NormalModes
+    kernels: KernelSet
+
+
+def pipeline(spec: SystemSpec, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> Molecule:
+    """Solve ``spec`` with ``tol`` and ``max_iter``, then take its normal modes and site kernels.
+
+    Each stage raises as it does alone; :func:`~wigmol.modes.compute_modes` refuses the hard core.
+    """
+    config = solve_equilibrium(spec, tol=tol, max_iter=max_iter)
+    modes = compute_modes(spec, config)
+    return Molecule(spec, config, modes, all_site_kernels(modes, config))
+
+
 def kernel_value(kernel: SiteKernel, x, x_prime) -> np.ndarray:
     """Evaluate the kernel rho_i(x, x'); broadcasts over array input."""
     u = np.asarray(x, dtype=float) - kernel.center
@@ -326,8 +347,10 @@ def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> Occupancy
     lambda_0 * y**(l_max + 1) / (1 - y) drops below ``tail_tol``, capped
     at ``_LADDER_CAP`` rungs.  ``kernels`` is a :class:`KernelSet`, whose
     arrays are read directly, or any iterable of kernels, which is packed
-    into one first.
+    into one first.  Raises ValueError unless ``tail_tol >= 0``.
     """
+    if not tail_tol >= 0:
+        raise ValueError(f"tail_tol must be non-negative, got {tail_tol!r}")
     kernels = KernelSet.from_kernels(kernels)
     n = len(kernels)
     amplitude, eta, y = kernels.amplitude, kernels.eta, kernels.y

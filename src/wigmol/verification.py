@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import equilibrium, modes, observables, oracle, rdm
+from . import equilibrium, observables, oracle, rdm
 from .potential import Interaction, SystemSpec, potential_gradient, potential_hessian, potential_value
 
 _SEED = 20240817
@@ -64,29 +64,22 @@ def derivative_checks() -> list[Check]:
     return checks
 
 
-def _kernel_pipeline(n: int, d: float):
-    spec = SystemSpec(n, Interaction.power_law(d))
-    config = equilibrium.solve_equilibrium(spec)
-    normal_modes = modes.compute_modes(spec, config)
-    return config, normal_modes, rdm.all_site_kernels(normal_modes, config)
-
-
 def kernel_checks() -> list[Check]:
     """Site kernels, their occupancy ladders and n(k) against quadrature and Nystrom oracles."""
     checks = []
     for n, d in [(2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)]:
-        config, normal_modes, kernels = _kernel_pipeline(n, d)
+        molecule = rdm.pipeline(SystemSpec(n, Interaction.power_law(d)))
         worst = 0.0
-        for kernel in kernels:
+        for kernel in molecule.kernels:
             grid = np.linspace(kernel.center - 3 * kernel.width, kernel.center + 3 * kernel.width, 9)
             for x in grid:
                 for xp in grid:
-                    direct = oracle.quadrature_kernel(normal_modes, config, kernel.site, x, xp)
+                    direct = oracle.quadrature_kernel(molecule.modes, molecule.config, kernel.site, x, xp)
                     worst = max(worst, abs(direct - float(rdm.kernel_value(kernel, x, xp))))
         checks.append(_bounded(f"kernel quadrature N={n} d={d:g}", worst, 1e-6))
 
         worst_nystrom = 0.0
-        for kernel in kernels:
+        for kernel in molecule.kernels:
             grid = oracle.nystrom_grid(kernel)
             top = oracle.nystrom_occupancies(lambda x, xp, k=kernel: rdm.kernel_value(k, x, xp), grid, 5)
             ladder = np.array([rdm.occupancy(kernel, l) for l in range(5)])
@@ -95,17 +88,17 @@ def kernel_checks() -> list[Check]:
 
         worst_momentum = 0.0
         for k in np.linspace(-8.0, 8.0, 17):
-            analytic = float(observables.momentum_distribution(kernels, [k]).values[0])
-            worst_momentum = max(worst_momentum, abs(analytic - oracle.momentum_quadrature(kernels, k)))
+            analytic = float(observables.momentum_distribution(molecule.kernels, [k]).values[0])
+            worst_momentum = max(worst_momentum, abs(analytic - oracle.momentum_quadrature(molecule.kernels, k)))
         checks.append(_bounded(f"momentum quadrature N={n} d={d:g}", worst_momentum, 1e-6))
     return checks
 
 
 def doubling_check() -> Check:
     """The quadrature oracle itself: doubling its order must not move a kernel value."""
-    config, normal_modes, _ = _kernel_pipeline(3, 2.0)
-    coarse = oracle.quadrature_kernel(normal_modes, config, 2, 0.1, -0.2, oracle.QuadratureSpec(points_per_dim=20))
-    fine = oracle.quadrature_kernel(normal_modes, config, 2, 0.1, -0.2, oracle.QuadratureSpec(points_per_dim=40))
+    molecule = rdm.pipeline(SystemSpec(3, Interaction.power_law(2.0)))
+    coarse = oracle.quadrature_kernel(molecule.modes, molecule.config, 2, 0.1, -0.2, oracle.QuadratureSpec(20))
+    fine = oracle.quadrature_kernel(molecule.modes, molecule.config, 2, 0.1, -0.2, oracle.QuadratureSpec(40))
     drift = abs(fine - coarse)
     return Check("quadrature order doubling", drift < 1e-8, drift, 1e-8, "drift")
 

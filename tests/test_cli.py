@@ -207,12 +207,58 @@ def test_explicit_flags_override_config(tmp_path, capsys):
         ["density", "--n", "2", "--d", "2", "--x", "-inf:0:1"],
         ["momentum", "--n", "2", "--d", "2", "--k", "0:1e300:1e-300"],
         ["momentum", "--n", "2", "--d", "2", "--k", "0:1e9:1"],
+        ["scan-k", "--n", "4", "--d", "2", "--tol", "-1"],
+        ["scan-k", "--n", "4", "--d", "2", "--tol", "nan"],
+        ["scan-k", "--n", "4", "--d", "2", "--max-iter", "0"],
+        ["scan-k", "--n", "4", "--d", "2", "--max-iter", "-5"],
+        ["density", "--n", "2", "--d", "2", "--g", "inf"],
+        ["density", "--n", "2", "--d", "2", "--spacing", "nan"],
+        ["density", "--n", "2", "--d", "2", "--spacing", "inf"],
+        ["density", "--n", "2", "--d", "log", "--g", "10", "--d-aux", "inf"],
     ],
 )
 def test_invalid_requests_exit_2(argv, capsys):
     status, _, err = run(argv, capsys)
     assert status == 2
     assert err.strip()
+
+
+HARD_CORE_REQUESTS = [
+    ["kernel", "--n", "4", "--d", "inf"],
+    ["spectrum", "--n", "4", "--d", "inf"],
+    ["scan-k", "--n", "2,3", "--d", "log,inf"],
+    ["momentum", "--n", "4", "--d", "inf"],
+    ["modes", "--n", "4", "--d", "inf"],
+]
+
+
+def test_hard_core_requests_share_one_refusal(capsys):
+    results = [run(argv, capsys) for argv in HARD_CORE_REQUESTS]
+    assert {(status, out) for status, out, _ in results} == {(2, "")}
+    messages = {err for _, _, err in results}
+    assert len(messages) == 1
+    (message,) = messages
+    assert message.startswith("error: the hard-core limit has no harmonic expansion")
+    assert "hardcore_density" in message
+    assert message.count("\n") == 1 and message.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["kernel", "scan-k"])
+def test_out_of_range_kernels_exit_3(command, capsys):
+    status, out, err = run([command, "--n", "4", "--d", "1e12", "--tol", "100"], capsys)
+    assert status == 3
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "site 1" in err
+    assert "Traceback" not in err
+
+
+def test_modes_need_no_kernels(capsys):
+    # at N = 4, d = 1e12 compute_modes succeeds where all_site_kernels raises SingularBlock
+    status, out, err = run(["modes", "--n", "4", "--d", "1e12", "--tol", "100"], capsys)
+    assert status == 0
+    assert out.startswith("mode,frequency\n")
+    assert err == ""
 
 
 def test_unknown_command_exits_2(capsys):

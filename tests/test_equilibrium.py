@@ -160,6 +160,28 @@ def test_physical_centers_invalid_scale():
         physical_centers(log_config, log_spec, g=1.0, d_aux=-0.1)
 
 
+@pytest.mark.parametrize(
+    "token, g, d_aux", [("2", np.inf, None), ("2", np.nan, None), ("log", np.inf, 0.1), ("log", 1.0, np.inf)]
+)
+def test_physical_centers_need_a_finite_scale(token, g, d_aux):
+    spec, config = solved(2, token)
+    with pytest.raises(InvalidScale, match="finite"):
+        physical_centers(config, spec, g=g, d_aux=d_aux)
+
+
+@pytest.mark.parametrize("token", ["2", "inf"])
+@pytest.mark.parametrize("settings", [{"tol": -1.0}, {"tol": np.nan}, {"max_iter": 0}, {"max_iter": -5}])
+def test_solver_settings_are_checked_before_solving(token, settings):
+    with pytest.raises(ValueError, match="tol >= 0 and max_iter >= 1"):
+        solve_equilibrium(SystemSpec(4, Interaction.from_token(token)), **settings)
+
+
+def test_solver_settings_at_their_bounds_are_valid():
+    assert solve_equilibrium(SystemSpec(4, Interaction.hard_core()), tol=0.0, max_iter=1).coordinate_kind == LATTICE
+    # N = 2 starts at its minimum, so one iteration is enough
+    assert solve_equilibrium(SystemSpec(2, Interaction.power_law(2.0)), max_iter=1).iterations == 0
+
+
 # d = 2 is Calogero's chain: its minimum is the zeros of H_N in beta
 # coordinates too, its mode frequencies are exactly 1..N, and the Hermite-zero
 # sum rule sum_{j != i} (z_i - z_j)**-2 = (2N - 2 - z_i**2)/3 gives every site

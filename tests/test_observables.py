@@ -27,6 +27,10 @@ def test_sampled_function_validation():
         SampledFunction([0.0, 1.0], [1.0, -0.5])
     with pytest.raises(ValueError):
         SampledFunction([0.0, 1.0], [1.0])
+    with pytest.raises(ValueError):
+        SampledFunction([0.0, np.nan, 1.0], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        SampledFunction([0.0, 1.0], [1.0, np.inf])
 
 
 def test_momentum_value_at_origin():
@@ -112,6 +116,13 @@ def test_density_profile_argument_validation():
     spec, _, _, kernels = kernel_set(2, 2.0)
     with pytest.raises(ValueError):
         density_profile(kernels, spec, g=1.0, spacing=1.0)
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1.0, np.nan, np.inf])
+def test_density_profile_needs_a_finite_positive_spacing(spacing):
+    spec, _, _, kernels = kernel_set(2, 2.0)
+    with pytest.raises(ValueError, match="spacing"):
+        density_profile(kernels, spec, spacing=spacing)
 
 
 def test_hardcore_density_values():

@@ -6,9 +6,12 @@ from numpy.testing import assert_allclose
 
 from conftest import kernel_set, solved
 from wigmol import (
+    Interaction,
     KernelSet,
+    Molecule,
     NormalModes,
     SiteKernel,
+    SystemSpec,
     all_site_kernels,
     compute_modes,
     ground_state_precision,
@@ -17,12 +20,14 @@ from wigmol import (
     natural_orbital,
     occupancy,
     occupancy_spectrum,
+    pipeline,
     rank_n_density_approximation,
     site_density,
     site_kernel,
     site_purity,
+    solve_equilibrium,
 )
-from wigmol.errors import SingularBlock
+from wigmol.errors import NoConvergence, SingularBlock, UnsupportedLimit
 
 
 def _grid(kernel, half_widths=10.0, points=4001):
@@ -385,3 +390,58 @@ def test_spectrum_is_the_same_from_a_set_and_from_its_views(token, n):
     assert from_set.degree_of_correlation == from_views.degree_of_correlation
     assert from_set.delta_k == from_views.delta_k
     assert KernelSet.from_kernels(kernels) is kernels
+
+
+@pytest.mark.parametrize("tail_tol", [-1.0, -1e-300, float("nan")])
+def test_spectrum_rejects_a_negative_or_nan_tail_tol(tail_tol):
+    _, _, _, kernels = kernel_set(3, 1.0)
+    with pytest.raises(ValueError, match="tail_tol"):
+        occupancy_spectrum(kernels, tail_tol=tail_tol)
+
+
+def test_spectrum_tail_tol_zero_and_infinity_are_valid():
+    _, _, _, kernels = kernel_set(3, 1.0)
+    assert occupancy_spectrum(kernels, tail_tol=float("inf")).l_max == 0
+    assert occupancy_spectrum(kernels, tail_tol=0.0).l_max > 0
+
+
+@pytest.mark.parametrize("token", ["log", "0.5", "2"])
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_pipeline_is_bitwise_the_hand_built_chain(token, n):
+    spec = SystemSpec(n, Interaction.from_token(token))
+    config = solve_equilibrium(spec)
+    modes = compute_modes(spec, config)
+    kernels = all_site_kernels(modes, config)
+    molecule = pipeline(spec)
+    assert isinstance(molecule, Molecule)
+    assert molecule.spec == spec
+    pairs = [
+        (molecule.config.positions, config.positions),
+        (molecule.modes.frequencies, modes.frequencies),
+        (molecule.modes.mode_matrix, modes.mode_matrix),
+    ]
+    for name in ("center", "amplitude", "a", "b", "eta", "y"):
+        pairs.append((getattr(molecule.kernels, name), getattr(kernels, name)))
+    for got, expected in pairs:
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_pipeline_forwards_the_solver_settings():
+    spec = SystemSpec(7, Interaction.power_law(1.5))
+    with pytest.raises(NoConvergence, match="after 1 Newton iterations"):
+        pipeline(spec, max_iter=1)
+    assert pipeline(spec, tol=1e-6).config.iterations == solve_equilibrium(spec, tol=1e-6).iterations == 2
+    assert pipeline(spec).config.iterations == 3
+
+
+def test_pipeline_refuses_the_hard_core():
+    with pytest.raises(UnsupportedLimit, match="hardcore_density"):
+        pipeline(SystemSpec(4, Interaction.hard_core()))
+
+
+def test_molecule_is_a_frozen_record():
+    molecule = pipeline(SystemSpec(3, Interaction.power_law(1.0)))
+    assert [field.name for field in dataclasses.fields(molecule)] == ["spec", "config", "modes", "kernels"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        molecule.kernels = None
