@@ -200,6 +200,10 @@ def _cmd_density(args) -> dict:
     n, token = _one_point(args)
     x_grid = _parse_real_grid(args.x) if args.x else None
     if token == INF_TOKEN:
+        # the hard-core profile reads none of the solver or placement flags; they
+        # are checked all the same, as at finite d
+        spec, _ = _solve(n, token, args)
+        observables.placement_factor(spec, args.g, args.spacing, args.d_aux)
         profile = observables.hardcore_density(n, x_grid)
     else:
         molecule = _molecule(n, token, args)

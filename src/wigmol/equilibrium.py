@@ -122,12 +122,16 @@ def _virial_scaled(half: np.ndarray, n: int, d: float) -> np.ndarray:
     return half * np.exp(log_scale)
 
 
+def _minimum_is_hermite_zeros(interaction) -> bool:
+    """Whether the zeros of H_N are the exact minimum: the log limit (Stieltjes)
+    and the inverse-square chain at scale 1 (Calogero)."""
+    return interaction.is_log_limit or interaction.d == 2.0
+
+
 def _initial_half(spec: SystemSpec) -> np.ndarray:
     n = spec.n_particles
     interaction = spec.interaction
-    if interaction.is_log_limit or interaction.d == 2.0:
-        # the zeros of H_N are the exact minimum of the log limit (Stieltjes)
-        # and of the inverse-square chain at scale 1 (Calogero)
+    if _minimum_is_hermite_zeros(interaction):
         return _hermite_zeros(n)
     return _virial_scaled(_continuum_quantiles(n, interaction.d), n, interaction.d)
 

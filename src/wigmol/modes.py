@@ -8,7 +8,10 @@ translation invariant.
 
 At a solved chain the curvature commutes with site reversal, so
 :func:`compute_modes` diagonalizes its even and odd parity blocks
-separately, each about half the size of the whole matrix.
+separately, each about half the size of the whole matrix.  Where the
+minimum is the zeros of H_N (the log limit and d = 2) the block
+eigenpairs are known in closed form and are taken from the Hermite
+recurrence instead, once they pass a residual check against the blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _parity
-from .equilibrium import Configuration, _point
+from .equilibrium import Configuration, _minimum_is_hermite_zeros, _point
 from .errors import NegativeEigenvalue, UnsupportedLimit
 from .potential import SystemSpec, _gradient_and_hessian
 
@@ -54,12 +57,114 @@ def _fix_signs(rows: np.ndarray, width: int) -> np.ndarray:
     return rows
 
 
+# Below this N the recurrence's N-step Python loop costs more than the two
+# block eigh calls it replaces.  Measured on a 2-core host over whole
+# compute_modes calls: the closed form took 1.25x the time of eigh at N = 32,
+# broke even at N = 48 and was 1.2-1.4x faster at N = 64, for both exponents.
+_CLOSED_FORM_MIN_N = 48
+
+# columns of the recurrence are divided down once an entry passes this size,
+# checked every _RESCALE_EVERY steps, so that p_k cannot overflow
+_RESCALE_ABOVE = 1e100
+_RESCALE_EVERY = 32
+
+
+def _hermite_values(z: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` orthonormal Hermite polynomials p_0, p_1, ... at z, one row per degree.
+
+    Runs the three-term recurrence
+    z p_k = sqrt((k+1)/2) p_{k+1} + sqrt(k/2) p_{k-1} on q_k = s_k p_k,
+    with s_{k+1} = s_{k-1} sqrt((k+1)/k), which makes it two array
+    operations per degree: q_{k+1} = (c_k z) q_k - q_{k-1}.  Row k + 1
+    holds c_k z until step k overwrites it.  Each column (one point)
+    carries a free positive scale: a column is divided by its largest
+    magnitude whenever that passes _RESCALE_ABOVE, so entries it leaves
+    far below its peak may underflow to zero.
+    """
+    degree = np.arange(1, n)
+    ratio = np.sqrt(degree[1:] / degree[:-1])  # s_{k+1} / s_{k-1} for k = 1 .. N-2
+    scale = np.ones(n)
+    scale[2::2] = np.cumprod(ratio[0::2])
+    scale[3::2] = np.cumprod(ratio[1::2])
+    values = np.empty((n, z.size))
+    values[0] = 1.0
+    np.multiply.outer(np.sqrt(2.0 / degree) * scale[1:] / scale[:-1], z, out=values[1:])
+    rows = list(values)
+    for k in range(1, n - 1):
+        nxt = rows[k + 1]
+        nxt *= rows[k]
+        nxt -= rows[k - 1]
+        if k % _RESCALE_EVERY == 0:
+            peak = np.maximum(np.abs(rows[k]), np.abs(nxt))
+            big = peak > _RESCALE_ABOVE
+            if big.any():
+                values[: k + 2, big] /= peak[big]
+    values /= scale[:, None]
+    return values
+
+
+def _hermite_block_eigenpairs(z: np.ndarray, n: int, power: int):
+    """Closed-form (values, vectors) of the even and odd blocks at the Hermite zeros.
+
+    ``z`` holds the middle-out positions.  Mode l = 1..N is the
+    displacement H_{N-l}(z_i) / H_N'(z_i) with curvature l**power
+    (Ahmed, Bruschi, Calogero, Olshanetsky, Perelomov, Nuovo Cimento B 49
+    (1979) 173; Calogero, J. Math. Phys. 12 (1971) 419); as a unit row it
+    is p_j(z_i) sqrt(w_i) sign(p_{N-1}(z_i)) with j = N - l and w_i the
+    Gauss-Hermite weight 1 / sum_k p_k(z_i)**2.  Odd l are the even modes.
+
+    The rows are orthogonal only as far as z are zeros of p_N, and a few
+    ulp of error in z cost them two digits of orthogonality at N = 1000.
+    So they are taken at z moved by one Newton step on p_N, applied to
+    first order through p_k' = sqrt(2k) p_{k-1}.  Returns None if that
+    step is not finite, which happens only far from the zeros.
+    """
+    values = _hermite_values(z, n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = values[n] / (np.sqrt(2.0 * n) * values[n - 1])
+    if not np.isfinite(step).all():
+        return None
+    values = values[:n]
+    shift = np.multiply.outer(np.sqrt(2.0 * np.arange(1, n)), step)
+    values[1:] -= np.multiply(shift, values[:-1], out=shift)
+    values *= np.sign(values[n - 1]) / np.sqrt(np.einsum("ki,ki->i", values, values))
+    values[:, n % 2 :] *= np.sqrt(2.0)  # right-half sites of a block vector
+    levels = np.arange(1, n + 1, dtype=float) ** power
+    even = (levels[0::2], values[n - 1 :: -2].T)
+    odd = (levels[1::2], values[n - 2 :: -2, n % 2 :].T)
+    return even, odd
+
+
+def _solves(block: np.ndarray, pair, n: int) -> bool:
+    # the eigen-residual of pairs that are exact up to rounding at this block
+    values, vectors = pair
+    residual = block @ vectors
+    residual -= vectors * values
+    return bool(np.abs(residual).max() <= 4.0 * n * np.finfo(float).eps * np.abs(block).max())
+
+
+def _block_eigenpairs(spec: SystemSpec, config: Configuration):
+    """(values, vectors) of the even and odd curvature blocks, the closed form where it applies and passes."""
+    n = config.n_particles
+    hess = _gradient_and_hessian(spec, config.positions)[1]
+    blocks = _parity.even_block(hess), _parity.odd_block(hess)
+    if n >= _CLOSED_FORM_MIN_N and _minimum_is_hermite_zeros(spec.interaction):
+        power = 1 if spec.interaction.is_log_limit else 2
+        pairs = _hermite_block_eigenpairs(config.positions[n // 2 :], n, power)
+        if pairs and all(_solves(block, pair, n) for block, pair in zip(blocks, pairs)):
+            return pairs
+    return tuple(np.linalg.eigh(block) for block in blocks)
+
+
 def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     """Normal modes at a solved configuration of the given system.
 
     The curvature at the antisymmetric minimum is persymmetric, so only
     its middle and right-half rows are computed, and it is diagonalized
-    as its even and odd parity blocks, each half the size.
+    as its even and odd parity blocks, each half the size.  In the log
+    limit and at d = 2, from N = _CLOSED_FORM_MIN_N on, the blocks take
+    the closed-form eigenpairs if both pass the check
+    max|B V - V diag(values)| <= 4 N eps max|B|, and eigh otherwise.
     Every mode row is exactly symmetric or antisymmetric under site
     reversal; its sign makes the largest entry positive, and because
     mirror entries are exact copies that entry always lies in the first
@@ -70,9 +175,7 @@ def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     if spec.interaction.is_hard_core:
         raise UnsupportedLimit("the hard-core limit has no harmonic expansion; only its "
                                "unit-lattice equilibrium and hardcore_density exist there")
-    hess = _gradient_and_hessian(spec, config.positions)[1]
-    even_values, even_vectors = np.linalg.eigh(_parity.even_block(hess))
-    odd_values, odd_vectors = np.linalg.eigh(_parity.odd_block(hess))
+    (even_values, even_vectors), (odd_values, odd_vectors) = _block_eigenpairs(spec, config)
     lowest, block = min((even_values[0], "even"), (odd_values[0], "odd"))
     if lowest <= 0:
         raise NegativeEigenvalue(

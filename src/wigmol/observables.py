@@ -76,6 +76,24 @@ def fictitious_spacing(kernels) -> float:
     return float(6.0 * _scalar_power(KernelSet.from_kernels(kernels).eta, -0.5).max())
 
 
+def placement_factor(spec: SystemSpec, g: float | None = None, spacing: float | None = None,
+                     d_aux: float | None = None) -> float | None:
+    """The checked placement of :func:`density_profile`'s peaks.
+
+    The factor that maps scaled centers to physical ones at coupling
+    ``g``, else the lattice ``spacing``, else None (the default spacing).
+    Raises unless at most one of ``g`` and ``spacing`` is given and it
+    (with ``d_aux`` in the log limit) is positive and finite.
+    """
+    if g is not None and spacing is not None:
+        raise ValueError("give either g or spacing, not both")
+    if g is not None:
+        return coordinate_scale(spec, g, d_aux)
+    if spacing is not None and not 0 < spacing < np.inf:
+        raise ValueError(f"the lattice spacing must be positive and finite, got {spacing!r}")
+    return spacing
+
+
 def density_profile(
     kernels,
     spec: SystemSpec,
@@ -96,15 +114,11 @@ def density_profile(
     placement.
     """
     kernels = KernelSet.from_kernels(kernels)
-    if g is not None and spacing is not None:
-        raise ValueError("give either g or spacing, not both")
+    factor = placement_factor(spec, g, spacing, d_aux)
     if g is not None:
-        centers = kernels.center * coordinate_scale(spec, g, d_aux)
+        centers = kernels.center * factor
     else:
-        if spacing is None:
-            spacing = fictitious_spacing(kernels)
-        if not 0 < spacing < np.inf:
-            raise ValueError(f"the lattice spacing must be positive and finite, got {spacing!r}")
+        spacing = fictitious_spacing(kernels) if factor is None else factor
         centers = spacing * lattice_guess(len(kernels)).positions
     x = default_x_grid(kernels, centers) if x_grid is None else np.asarray(x_grid, dtype=float)
     exponent = -(2.0 * kernels.a - kernels.b)  # rdm.site_density, at the relocated centers

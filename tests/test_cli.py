@@ -223,6 +223,17 @@ def test_invalid_requests_exit_2(argv, capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--g", "-1"], ["--spacing", "nan"], ["--max-iter", "0"], ["--tol", "-1"], ["--g", "1", "--spacing", "1"]]
+)
+def test_hard_core_density_checks_its_flags_as_finite_d_does(flags, capsys):
+    hard_core = run(["density", "--n", "3", "--d", "inf", *flags], capsys)
+    finite = run(["density", "--n", "3", "--d", "2", *flags], capsys)
+    assert hard_core == finite
+    status, out, err = hard_core
+    assert status == 2 and out == "" and err.startswith("error: ")
+
+
 HARD_CORE_REQUESTS = [
     ["kernel", "--n", "4", "--d", "inf"],
     ["spectrum", "--n", "4", "--d", "inf"],

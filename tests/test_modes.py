@@ -4,15 +4,18 @@ from numpy.testing import assert_allclose
 
 from conftest import solved
 from wigmol import (
+    Configuration,
     Interaction,
     SystemSpec,
+    all_site_kernels,
     compute_modes,
     ground_state_precision,
+    occupancy_spectrum,
     physical_centers,
     potential_hessian,
     solve_equilibrium,
 )
-from wigmol import _parity
+from wigmol import _parity, equilibrium
 from wigmol import modes as modes_module
 from wigmol.errors import DegenerateHessian, NegativeEigenvalue, UnsupportedLimit
 from wigmol.oracle import fd_jacobian
@@ -101,7 +104,9 @@ def test_parity_blocks_carry_the_full_spectrum(n):
     assert np.array_equal(_parity.fold(_parity.unfold(half, n)), half)
 
 
-@pytest.mark.parametrize("n,token,label", [(4, 1.0, "N=4, d=1"), (5, "log", "N=5, log limit")])
+@pytest.mark.parametrize(
+    "n,token,label", [(4, 1.0, "N=4, d=1"), (5, "log", "N=5, log limit"), (64, "log", "N=64, log limit")]
+)
 def test_negative_curvature_names_its_point_and_block(monkeypatch, n, token, label):
     spec, config = solved(n, token)
     grad, hess = modes_module._gradient_and_hessian(spec, config.positions)
@@ -119,6 +124,66 @@ def test_negative_curvature_names_its_point_and_block(monkeypatch, n, token, lab
     assert f"{block} parity block at {label}" in message
     # the CLI exits 3 on a DegenerateHessian, so this error must be one
     assert isinstance(failure.value, DegenerateHessian)
+
+
+FLOOR = modes_module._CLOSED_FORM_MIN_N
+
+
+def _eigh_modes(monkeypatch, spec, config):
+    with monkeypatch.context() as patch:
+        patch.setattr(modes_module, "_CLOSED_FORM_MIN_N", config.n_particles + 1)
+        return compute_modes(spec, config)
+
+
+def _hermite_levels(n, token):
+    # the closed form's frequencies, which eigh never reproduces exactly at every level
+    levels = np.arange(1.0, n + 1.0)
+    return np.sqrt(levels) if token == "log" else levels
+
+
+def _degree_of_correlation(modes, config):
+    return occupancy_spectrum(all_site_kernels(modes, config)).degree_of_correlation
+
+
+@pytest.mark.parametrize(
+    "n, token", [(FLOOR, "log"), (100, "log"), (250, "log"), (460, "log"), (FLOOR, 2.0), (60, 2.0), (78, 2.0)]
+)
+def test_closed_form_modes_agree_with_eigh(monkeypatch, n, token):
+    spec, config = solved(n, token)
+    closed = compute_modes(spec, config)
+    assert np.array_equal(closed.frequencies, _hermite_levels(n, token))
+    reference = _eigh_modes(monkeypatch, spec, config)
+    assert_allclose(closed.frequencies, reference.frequencies, rtol=1e-12, atol=0)
+    assert np.abs(closed.mode_matrix - reference.mode_matrix).max() <= 1e-12
+    k_closed = _degree_of_correlation(closed, config)
+    assert_allclose(k_closed, _degree_of_correlation(reference, config), rtol=1e-13, atol=0)
+
+
+def test_closed_form_modes_at_a_thousand_sites():
+    # the default solve does not reach N = 1000, but the Hermite zeros are its minimum
+    n = 1000
+    zeros = equilibrium._hermite_zeros(n)
+    config = Configuration(np.concatenate((-zeros[::-1], zeros)), equilibrium.ALPHA, 0.0)
+    spec = SystemSpec(n, Interaction.log_limit())
+    modes = compute_modes(spec, config)
+    rows, freqs = modes.mode_matrix, modes.frequencies
+    assert np.array_equal(freqs, _hermite_levels(n, "log"))
+    assert np.isfinite(rows).all()
+    assert np.abs(rows @ rows.T - np.eye(n)).max() <= 1e-13
+    hess = potential_hessian(spec, config.positions)
+    residual = np.abs(hess @ rows.T - rows.T * freqs**2).max()
+    assert residual <= 4 * n * np.finfo(float).eps * np.abs(hess).max()
+
+
+@pytest.mark.parametrize("n, token", [(FLOOR, "log"), (101, "log"), (70, 2.0)])
+def test_a_displaced_chain_falls_back_to_eigh(monkeypatch, n, token):
+    spec, config = solved(n, token)
+    half = np.random.default_rng(n).standard_normal(n // 2)
+    moved = Configuration(config.positions + 1e-9 * _parity.unfold(half, n), config.coordinate_kind, 0.0)
+    modes = compute_modes(spec, moved)
+    reference = _eigh_modes(monkeypatch, spec, moved)
+    assert np.array_equal(modes.frequencies, reference.frequencies)
+    assert np.array_equal(modes.mode_matrix, reference.mode_matrix)
 
 
 def test_hard_core_has_no_modes():

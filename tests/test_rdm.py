@@ -256,6 +256,17 @@ def test_delta_k_grows_with_d_and_n():
         assert np.all(np.diff(column) > 0)
 
 
+@pytest.mark.parametrize("n", [3, 10, 40, 100])
+def test_power_law_reaches_the_log_limit_linearly_in_d(n):
+    # delta_K(d) - delta_K(log) = s_N d + O(d**2): the finite-difference slopes
+    # at two small exponents agree.  At N = 100 the log limit takes the closed-form
+    # modes and the power law takes eigh, so this also checks one against the other.
+    log_limit = occupancy_spectrum(kernel_set(n, "log")[3]).delta_k
+    slopes = [(occupancy_spectrum(kernel_set(n, d)[3]).delta_k - log_limit) / d for d in (1e-3, 1e-4)]
+    assert slopes[0] > 0
+    assert_allclose(slopes[1], slopes[0], rtol=1e-2)
+
+
 def test_two_particle_occupancy_asymptote():
     # lambda0 * d**0.25 / 2 climbs toward 1 from below, order d**-0.25;
     # the gradient noise floor grows like d * eps, hence the loose tol
