@@ -349,10 +349,13 @@ def main(argv=None) -> int:
             return table
         _emit(table, args)
         return 0
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not one the request causes
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (_BadRequest, UnsupportedLimit, InvalidScale, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WigmolError, np.linalg.LinAlgError) as exc:
+    except WigmolError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

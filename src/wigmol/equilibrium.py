@@ -7,7 +7,7 @@ reflection (middle particle pinned at zero for odd N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,14 @@ class Configuration:
     ``iterations`` counts the Newton steps the solve took and
     ``line_search_halvings`` the step halvings over all of them; both are
     zero for a configuration no solve produced.
+
+    A configuration that :func:`solve_equilibrium` returns also keeps,
+    privately and read-only, the curvature rows of the solve's final pass
+    together with the spec it solved, so that
+    :func:`~wigmol.modes.compute_modes` forms its parity blocks from them
+    instead of making the pass again.  A configuration built by hand or
+    by ``dataclasses.replace`` keeps none; neither equality nor the repr
+    reads them.
     """
 
     positions: np.ndarray
@@ -41,6 +49,7 @@ class Configuration:
     residual: float
     iterations: int = 0
     line_search_halvings: int = 0
+    _curvature: tuple[SystemSpec, np.ndarray] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)
@@ -167,13 +176,39 @@ def _descend(spec: SystemSpec, half: np.ndarray, step: np.ndarray, grad_norm: fl
     return None
 
 
-def _check_minimum(spec: SystemSpec, even: np.ndarray, odd: np.ndarray):
-    # H is orthogonally similar to diag(E, O), so both blocks positive definite means H is
-    try:
-        np.linalg.cholesky(even)
-        np.linalg.cholesky(odd)
-    except np.linalg.LinAlgError:
-        raise DegenerateHessian(f"{_point(spec)}: curvature is not positive definite at the candidate minimum")
+def _check_minimum(spec: SystemSpec, rows: np.ndarray):
+    """Certify the curvature with these middle and right-half rows positive definite.
+
+    The curvature is the identity (the trap) plus a graph Laplacian whose
+    weights, the pair couplings, are non-negative.  So in exact arithmetic
+    every row's diagonal-dominance margin, 2 diag - sum|row|, is exactly 1,
+    and by Gershgorin's theorem no eigenvalue lies below the smallest
+    margin.  The left-half rows mirror these, so these rows carry every
+    margin of the whole matrix.  The even and odd parity blocks are the
+    curvature in an orthogonal basis of its two invariant subspaces, so
+    their eigenvalues are the curvature's, bounded below alike.
+
+    In floating point the certificate asks that every row be finite and
+    that the smallest computed margin, less (N + 2) eps max sum|row|, be at
+    least 1/2.  That bound covers the rounding of the row sums and of the
+    margins (at most (N/2 + 1) eps sum|row| on a row) and of forming
+    the blocks (each entry one sum, or one product by sqrt 2, so at most
+    (3/2) eps max sum|row| in norm), so every eigenvalue of both blocks as
+    formed is at least 1/2.  A NaN row, which a Cholesky factorization
+    accepts without raising, fails it.
+    """
+    if not np.isfinite(rows).all():
+        raise DegenerateHessian(f"{_point(spec)}: curvature is not finite at the candidate minimum")
+    n = spec.n_particles
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(rows).sum(axis=1)
+        margin = float((2.0 * np.diagonal(rows[:, n // 2 :]) - size).min())
+        bound = (n + 2) * np.finfo(float).eps * float(size.max())
+    if not margin - bound >= 0.5:
+        raise DegenerateHessian(
+            f"{_point(spec)}: curvature is not certified positive definite at the candidate minimum "
+            f"(smallest diagonal-dominance margin {margin:.3g}, rounding bound {bound:.3g})"
+        )
 
 
 def solve_equilibrium(
@@ -224,7 +259,17 @@ def solve_equilibrium(
         If the budget runs out or no descent step exists; the message
         names N, the interaction, the last residual and the iterations.
     DegenerateHessian
-        If the curvature is not positive definite at the solution.
+        Unless the curvature at the solution is certified positive
+        definite: every curvature row finite, and its diagonal-dominance
+        margin at least 1/2 beyond a bound on the rounding (see
+        ``_check_minimum``).  Non-finite curvature, and curvature whose
+        margin drowns in rounding (couplings of order d, so from d around
+        1e12 at N = 40), fail it.
+    numpy.linalg.LinAlgError
+        If a Newton step meets an exactly singular odd block.
+
+    The returned configuration keeps the curvature rows of the final pass,
+    which :func:`~wigmol.modes.compute_modes` reads for the same spec.
     """
     if not (tol >= 0 and max_iter >= 1):
         raise ValueError(f"the solver needs tol >= 0 and max_iter >= 1, got tol={tol!r}, max_iter={max_iter!r}")
@@ -248,13 +293,15 @@ def solve_equilibrium(
     for iteration in range(1, max_iter + 1):
         grad, hess = landscape
         residual = float(np.abs(grad).max())
-        odd = _parity.odd_block(hess)
         if residual <= tol:
-            _check_minimum(spec, _parity.even_block(hess), odd)
-            return Configuration(_parity.unfold(half, n), kind, residual, iteration - 1, halvings)
+            _check_minimum(spec, hess)
+            config = Configuration(_parity.unfold(half, n), kind, residual, iteration - 1, halvings)
+            hess.flags.writeable = False
+            object.__setattr__(config, "_curvature", (spec, hess))
+            return config
         # the entries run from the middle out; for odd N the first is the middle
         # site's, zero by symmetry up to roundoff, and the step leaves it out
-        step = np.linalg.solve(odd, -grad_scale * grad[n % 2 :])
+        step = np.linalg.solve(_parity.odd_block(hess), -grad_scale * grad[n % 2 :])
         accepted = _descend(spec, half, step, residual)
         if accepted is None:
             raise NoConvergence(

@@ -146,7 +146,11 @@ def _solves(block: np.ndarray, pair, n: int) -> bool:
 def _block_eigenpairs(spec: SystemSpec, config: Configuration):
     """(values, vectors) of the even and odd curvature blocks, the closed form where it applies and passes."""
     n = config.n_particles
-    hess = _gradient_and_hessian(spec, config.positions)[1]
+    kept = config._curvature
+    if kept is not None and kept[0] == spec:
+        hess = kept[1]
+    else:
+        hess = _gradient_and_hessian(spec, config.positions)[1]
     blocks = _parity.even_block(hess), _parity.odd_block(hess)
     if n >= _CLOSED_FORM_MIN_N and _minimum_is_hermite_zeros(spec.interaction):
         power = 1 if spec.interaction.is_log_limit else 2
@@ -160,8 +164,13 @@ def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     """Normal modes at a solved configuration of the given system.
 
     The curvature at the antisymmetric minimum is persymmetric, so only
-    its middle and right-half rows are computed, and it is diagonalized
-    as its even and odd parity blocks, each half the size.  In the log
+    its middle and right-half rows are read, and it is diagonalized as its
+    even and odd parity blocks, each half the size.  A configuration that
+    :func:`~wigmol.equilibrium.solve_equilibrium` returned for this same
+    spec carries those rows from the solve's final pass, bitwise what a
+    new pass would give, and they are used as they are; any other
+    configuration (built by hand, a ``dataclasses.replace`` copy, or one
+    solved for another spec) gets a new pass.  In the log
     limit and at d = 2, from N = _CLOSED_FORM_MIN_N on, the blocks take
     the closed-form eigenpairs if both pass the check
     max|B V - V diag(values)| <= 4 N eps max|B|, and eigh otherwise.

@@ -35,9 +35,10 @@ the state is from an N-orbital description.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -299,36 +300,61 @@ def site_purity(kernel: SiteKernel) -> float:
     return float(kernel.amplitude**2 * np.pi / kernel.eta)
 
 
-class _FrozenLadders(tuple):
-    """Ladders that are rows of read-only blocks no caller holds; kept without a copy."""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupancySpectrum:
-    """Truncated occupancy ladders plus the derived correlation numbers.
+    """Occupancy ladders of a kernel set plus the derived correlation numbers.
 
-    ``ladders[i]`` holds lambda_0 .. lambda_lmax for site i + 1, truncated
-    where the analytic geometric tail drops below the requested tolerance;
-    ``tail_bounds[i]`` is that remaining tail.  ``degree_of_correlation``
-    is the inverse purity and ``delta_k`` its relative excess over N.
+    ``degree_of_correlation`` is the inverse purity and ``delta_k`` its
+    relative excess over N; these three numbers are computed with the
+    spectrum.  ``ladders[i]`` holds lambda_0 .. lambda_lmax for site i + 1,
+    truncated where the analytic geometric tail drops below the requested
+    tolerance, and ``tail_bounds[i]`` is that remaining tail.  The ladders,
+    the tail bounds and ``l_max`` are built when one of them is first read
+    and then kept, read-only, so a caller that reads only K or delta_K
+    never builds them.  Build spectra with :func:`occupancy_spectrum`.
     """
 
-    ladders: tuple[np.ndarray, ...]
-    tail_bounds: np.ndarray
     purity: float
     degree_of_correlation: float
     delta_k: float
+    _kernels: KernelSet = field(repr=False)
+    _tail_tol: float = field(repr=False)
 
-    def __post_init__(self):
-        tails = np.array(self.tail_bounds, dtype=float)
+    @functools.cached_property
+    def _truncated(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        amplitude, eta, y = self._kernels.amplitude, self._kernels.eta, self._kernels.y
+        lam0 = amplitude * np.sqrt(np.pi * (1.0 - y**2) / eta)
+        target = self._tail_tol * (1.0 - y) / lam0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rungs = np.ceil(np.log(target) / np.log(y)) - 1.0
+        l_max = np.where(y < target, 0, np.clip(rungs, 0, _LADDER_CAP)).astype(int)
+        # each ladder is the running product of lam0 and l_max copies of y, one
+        # block per distinct l_max; the product runs along each row in turn, so
+        # every rung is exactly the previous one times y, even in floating point
+        ladders = [None] * y.size
+        last = np.empty(y.size)
+        # a set, not np.unique, whose first call imports numpy.ma (about 15 ms and 1 MB)
+        for length in set(l_max.tolist()):
+            sites = np.flatnonzero(l_max == length)
+            block = np.empty((sites.size, length + 1))
+            block[:, 0] = lam0[sites]
+            block[:, 1:] = y[sites, None]
+            np.cumprod(block, axis=1, out=block)
+            block.flags.writeable = False
+            last[sites] = block[:, -1]
+            for site, ladder in zip(sites.tolist(), block):
+                ladders[site] = ladder
+        tails = last * y / (1.0 - y)
         tails.flags.writeable = False
-        ladders = self.ladders
-        if not isinstance(ladders, _FrozenLadders):
-            ladders = [np.array(ladder, dtype=float) for ladder in ladders]
-            for ladder in ladders:
-                ladder.flags.writeable = False
-        object.__setattr__(self, "tail_bounds", tails)
-        object.__setattr__(self, "ladders", tuple(ladders))
+        return tuple(ladders), tails
+
+    @property
+    def ladders(self) -> tuple[np.ndarray, ...]:
+        return self._truncated[0]
+
+    @property
+    def tail_bounds(self) -> np.ndarray:
+        return self._truncated[1]
 
     @property
     def l_max(self) -> int:
@@ -340,45 +366,23 @@ class OccupancySpectrum:
 
 
 def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> OccupancySpectrum:
-    """Assemble the occupancy spectrum of a full kernel set.
+    """The occupancy spectrum of a full kernel set.
 
-    The purity is summed in closed form over the sites; each ladder is
-    truncated at the smallest l_max whose analytic geometric tail
-    lambda_0 * y**(l_max + 1) / (1 - y) drops below ``tail_tol``, capped
-    at ``_LADDER_CAP`` rungs.  ``kernels`` is a :class:`KernelSet`, whose
-    arrays are read directly, or any iterable of kernels, which is packed
-    into one first.  Raises ValueError unless ``tail_tol >= 0``.
+    The purity, K and delta_K are computed at once, the purity summed in
+    closed form over the sites.  Each ladder is truncated at the smallest
+    l_max whose analytic geometric tail lambda_0 * y**(l_max + 1) / (1 - y)
+    drops below ``tail_tol``, capped at ``_LADDER_CAP`` rungs, when the
+    spectrum's ladders are first read.  ``kernels`` is a :class:`KernelSet`, whose arrays are read
+    directly, or any iterable of kernels, which is packed into one first.
+    Raises ValueError unless ``tail_tol >= 0``.
     """
     if not tail_tol >= 0:
         raise ValueError(f"tail_tol must be non-negative, got {tail_tol!r}")
     kernels = KernelSet.from_kernels(kernels)
     n = len(kernels)
-    amplitude, eta, y = kernels.amplitude, kernels.eta, kernels.y
-    lam0 = amplitude * np.sqrt(np.pi * (1.0 - y**2) / eta)
-    target = tail_tol * (1.0 - y) / lam0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rungs = np.ceil(np.log(target) / np.log(y)) - 1.0
-    l_max = np.where(y < target, 0, np.clip(rungs, 0, _LADDER_CAP)).astype(int)
-    # each ladder is the running product of lam0 and l_max copies of y, one
-    # block per distinct l_max; the product runs along each row in turn, so
-    # every rung is exactly the previous one times y, even in floating point
-    ladders = [None] * n
-    last = np.empty(n)
-    # a set, not np.unique, whose first call imports numpy.ma (about 15 ms and 1 MB)
-    for length in set(l_max.tolist()):
-        sites = np.flatnonzero(l_max == length)
-        block = np.empty((sites.size, length + 1))
-        block[:, 0] = lam0[sites]
-        block[:, 1:] = y[sites, None]
-        np.cumprod(block, axis=1, out=block)
-        block.flags.writeable = False
-        last[sites] = block[:, -1]
-        for site, ladder in zip(sites.tolist(), block):
-            ladders[site] = ladder
-    tails = last * y / (1.0 - y)
-    purity = sum((amplitude**2 * np.pi / eta).tolist())
+    purity = sum((kernels.amplitude**2 * np.pi / kernels.eta).tolist())
     degree = 1.0 / purity
-    return OccupancySpectrum(_FrozenLadders(ladders), tails, purity, degree, (degree - n) / n)
+    return OccupancySpectrum(purity, degree, (degree - n) / n, kernels, tail_tol)
 
 
 def rank_n_density_approximation(kernels, spectrum: OccupancySpectrum, x) -> np.ndarray:

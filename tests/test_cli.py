@@ -294,6 +294,23 @@ def test_solver_failure_names_its_state(capsys):
     assert "after 1 Newton iterations" in err
 
 
+def test_singular_newton_step_exits_3(capsys):
+    # numpy's LinAlgError is a ValueError, yet a numerical failure rather than a bad request
+    status, out, err = run(["equilibrium", "--n", "10", "--d", "1e15", "--tol", "1e-6"], capsys)
+    assert status == 3
+    assert out == ""
+    assert err == "numerical failure: Singular matrix\n"
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "modes"])
+def test_non_finite_curvature_exits_3(command, capsys):
+    # d * (d + 1) overflows, so every curvature row is NaN; no numpy warning may reach the user
+    status, out, err = run([command, "--n", "10", "--d", "1e300", "--tol", "inf"], capsys)
+    assert status == 3
+    assert out == ""
+    assert err == "numerical failure: N=10, d=1e+300: curvature is not finite at the candidate minimum\n"
+
+
 def test_overflowing_start_fails_without_warnings():
     source = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))

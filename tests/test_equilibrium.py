@@ -18,7 +18,7 @@ from wigmol import (
 )
 from wigmol import _parity, potential
 from wigmol.equilibrium import ALPHA, BETA, LATTICE
-from wigmol.errors import InvalidScale, NoConvergence
+from wigmol.errors import DegenerateHessian, InvalidScale, NoConvergence
 
 
 def test_lattice_guess_values():
@@ -334,3 +334,52 @@ def test_solved_chain_approaches_the_continuum_profile(d):
         assert distance <= 0.6 / n**0.75
         distances.append(distance)
     assert distances[0] > distances[1] > distances[2]
+
+
+# (78, 6) is solved to 1e-11: the default tol lies below its floating-point floor
+@pytest.mark.parametrize(
+    "n, token, tol",
+    [(n, token, 1e-11 if (n, token) == (78, 6.0) else 1e-12) for n in (2, 3, 31, 78) for token in ("log", 0.5, 1.0, 2.0, 6.0)]
+    + [(300, "log", 1e-12)],
+)
+def test_every_curvature_row_has_margin_one(n, token, tol):
+    # the trap plus a Laplacian with non-negative weights: each margin is exactly 1 before rounding
+    spec, config = solved(n, token, tol)
+    kept_spec, rows = config._curvature
+    assert kept_spec == spec
+    assert np.array_equal(rows, potential._gradient_and_hessian(spec, config.positions)[1])
+    size = np.abs(rows).sum(axis=1)
+    margin = 2.0 * np.diagonal(rows[:, n // 2 :]) - size
+    # the certificate's rounding bound
+    bound = (n + 2) * np.finfo(float).eps * size.max()
+    assert np.abs(margin - 1.0).max() <= bound
+    assert bound < 1e-9
+
+
+def test_certificate_refuses_nan_and_rounding_swamped_curvature():
+    spec, config = solved(7, 1.0)
+    rows = config._curvature[1].copy()
+    equilibrium._check_minimum(spec, rows)
+    rows[1, 5] = np.nan
+    # a Cholesky factorization accepts the NaN block without raising
+    np.linalg.cholesky(_parity.odd_block(rows))
+    with pytest.raises(DegenerateHessian, match="N=7, d=1: curvature is not finite"):
+        equilibrium._check_minimum(spec, rows)
+    rows = config._curvature[1].copy()
+    rows[1, 4] -= 0.6  # the diagonal of site 5 loses more than half its margin
+    with pytest.raises(DegenerateHessian, match=r"margin 0\.4, rounding bound"):
+        equilibrium._check_minimum(spec, rows)
+
+
+@pytest.mark.parametrize(
+    "n, d, tol, message",
+    [
+        (2, 1e16, 1.0, r"not certified positive definite .* margin 1, rounding bound 7\.18"),
+        (40, 1e12, np.inf, r"not certified positive definite .* margin 1, rounding bound 49\.7"),
+        (10, 1e300, np.inf, "not finite"),
+    ],
+)
+def test_swamped_or_non_finite_curvature_fails_the_solve(n, d, tol, message):
+    # couplings that grow like d drown the trap's margin of 1 in rounding; at d = 1e300 they are inf times 0
+    with pytest.raises(DegenerateHessian, match=message):
+        solve_equilibrium(SystemSpec(n, Interaction.power_law(d)), tol=tol)

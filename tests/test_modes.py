@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,10 +14,11 @@ from wigmol import (
     ground_state_precision,
     occupancy_spectrum,
     physical_centers,
+    pipeline,
     potential_hessian,
     solve_equilibrium,
 )
-from wigmol import _parity, equilibrium
+from wigmol import _parity, equilibrium, potential
 from wigmol import modes as modes_module
 from wigmol.errors import DegenerateHessian, NegativeEigenvalue, UnsupportedLimit
 from wigmol.oracle import fd_jacobian
@@ -109,6 +112,8 @@ def test_parity_blocks_carry_the_full_spectrum(n):
 )
 def test_negative_curvature_names_its_point_and_block(monkeypatch, n, token, label):
     spec, config = solved(n, token)
+    # a hand-built copy keeps no curvature rows from the solve, so compute_modes makes the patched pass
+    config = Configuration(config.positions, config.coordinate_kind, config.residual)
     grad, hess = modes_module._gradient_and_hessian(spec, config.positions)
     # negated, the block holding the largest curvature eigenvalue has the lowest one
     tops = {
@@ -238,3 +243,57 @@ def test_hessian_is_coupling_independent(token, g):
     hess_fd = fd_jacobian(gradient, centers, step=step)
     hess_scaled = potential_hessian(spec, config.positions)
     assert np.max(np.abs(hess_fd - hess_scaled)) / max(1.0, np.max(np.abs(hess_scaled))) <= 1e-5
+
+
+def _count_landscape_passes(monkeypatch):
+    calls = []
+    original = potential._landscape_rows
+
+    def counted(spec, positions, first):
+        calls.append(first)
+        return original(spec, positions, first)
+
+    monkeypatch.setattr(potential, "_landscape_rows", counted)
+    return calls
+
+
+def _hand_built(config):
+    return Configuration(config.positions, config.coordinate_kind, config.residual)
+
+
+# d = 6 is left out from N = 39 on, where the default solve does not converge
+@pytest.mark.parametrize(
+    "n, token",
+    [(n, token) for n in (2, 7, 12, 31) for token in ("log", "0.5", "2", "6")]
+    + [(n, token) for n in (48, 49, 64, 65) for token in ("log", "0.5", "2")],
+)
+def test_one_curvature_pass_per_newton_point(monkeypatch, n, token):
+    calls = _count_landscape_passes(monkeypatch)
+    molecule = pipeline(SystemSpec(n, Interaction.from_token(token)))
+    config = molecule.config
+    # the start, then one pass per candidate the line search tried; compute_modes reads the last one
+    assert len(calls) == config.iterations + config.line_search_halvings + 1
+    monkeypatch.undo()
+    again = compute_modes(molecule.spec, _hand_built(config))
+    for got, expected in ((molecule.modes.frequencies, again.frequencies), (molecule.modes.mode_matrix, again.mode_matrix)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 7, 64])
+def test_kept_curvature_serves_only_its_own_spec_and_positions(monkeypatch, n):
+    spec, config = solved(n, "log")
+    other = SystemSpec(n, Interaction.power_law(0.5))
+    moved = dataclasses.replace(config, positions=1.01 * config.positions)
+    calls = _count_landscape_passes(monkeypatch)
+    compute_modes(spec, config)
+    assert calls == []
+    for target_spec, target in ((other, config), (spec, moved)):
+        fresh = compute_modes(target_spec, target)
+        assert len(calls) == 1
+        reference = compute_modes(target_spec, _hand_built(target))
+        assert fresh.mode_matrix.tobytes() == reference.mode_matrix.tobytes()
+        calls.clear()
+    # the kept rows stay out of the repr and cannot be written
+    assert "_curvature" not in repr(config)
+    assert not config._curvature[1].flags.writeable

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from wigmol import (
     site_purity,
     solve_equilibrium,
 )
+from wigmol import rdm
 from wigmol.errors import NoConvergence, SingularBlock, UnsupportedLimit
 
 
@@ -456,3 +458,23 @@ def test_molecule_is_a_frozen_record():
     assert [field.name for field in dataclasses.fields(molecule)] == ["spec", "config", "modes", "kernels"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         molecule.kernels = None
+
+
+def test_reading_k_builds_no_ladders():
+    # at tail_tol = 0 every ladder runs to the 200,000-rung cap: 16 MB for N = 10 once built
+    _, _, _, kernels = kernel_set(10, 1.0)
+    tracemalloc.start()
+    try:
+        spectrum = occupancy_spectrum(kernels, tail_tol=0.0)
+        degree = spectrum.degree_of_correlation
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert degree == 1.0 / spectrum.purity
+    assert spectrum.l_max == rdm._LADDER_CAP
+    assert all(not ladder.flags.writeable for ladder in spectrum.ladders)
+    assert not spectrum.tail_bounds.flags.writeable
+    assert spectrum.ladders is spectrum.ladders
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spectrum.ladders = ()
