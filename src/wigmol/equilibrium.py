@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _parity
 from .errors import DegenerateHessian, InvalidScale, NoConvergence
-from .potential import SystemSpec, _gradient_and_hessian, _pair_mask
+from .potential import SystemSpec, _gradient_and_hessian, _pair_indices
 
 BETA = "beta"
 ALPHA = "alpha"
@@ -74,15 +74,16 @@ def _ordered(half: np.ndarray) -> bool:
     return bool(half[0] > 0.0 and (half[1:] > half[:-1]).all())
 
 
-def _hermite_zeros(n: int) -> np.ndarray:
-    """Positive zeros of H_N, ascending (the right half of the log-limit minimum).
+def _golub_welsch_zeros(n: int) -> np.ndarray:
+    """Positive zeros of H_N, ascending, from a dense SVD in O(N**3).
 
     The zeros are the eigenvalues of the Jacobi matrix of the Hermite
     recurrence (Golub-Welsch), whose off-diagonal is sqrt(k/2).  That
     matrix has a zero diagonal, so it is bipartite between even and odd
     sites: its eigenvalues are plus and minus the singular values of the
     bidiagonal block coupling the two, which has N - N//2 rows, N//2
-    columns, sqrt(i + 1/2) on the diagonal and sqrt(i) below it.
+    columns, sqrt(i + 1/2) on the diagonal and sqrt(i) below it.  They
+    come out a few ulp off the true zeros (up to ~4 ulp of the largest).
     """
     rows, cols = n - n // 2, n // 2
     coupling = np.zeros((rows, cols))
@@ -91,6 +92,129 @@ def _hermite_zeros(n: int) -> np.ndarray:
     i = np.arange(1, rows)
     coupling[i, i - 1] = np.sqrt(i)
     return np.linalg.svd(coupling, compute_uv=False)[::-1]
+
+
+# columns of the recurrence are divided down once an entry passes this size,
+# checked every _RESCALE_EVERY steps, so that p_k cannot overflow
+_RESCALE_ABOVE = 1e100
+_RESCALE_EVERY = 32
+
+
+def _hermite_values(z: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` orthonormal Hermite polynomials p_0, p_1, ... at z, one row per degree.
+
+    Runs the three-term recurrence
+    z p_k = sqrt((k+1)/2) p_{k+1} + sqrt(k/2) p_{k-1} on q_k = s_k p_k,
+    with s_{k+1} = s_{k-1} sqrt((k+1)/k), which makes it two array
+    operations per degree: q_{k+1} = (c_k z) q_k - q_{k-1}.  Row k + 1
+    holds c_k z until step k overwrites it.  Each column (one point)
+    carries a free positive scale: a column is divided by its largest
+    magnitude whenever that passes _RESCALE_ABOVE, so entries it leaves
+    far below its peak may underflow to zero.
+    """
+    degree = np.arange(1, n)
+    ratio = np.sqrt(degree[1:] / degree[:-1])  # s_{k+1} / s_{k-1} for k = 1 .. N-2
+    scale = np.ones(n)
+    scale[2::2] = np.cumprod(ratio[0::2])
+    scale[3::2] = np.cumprod(ratio[1::2])
+    values = np.empty((n, z.size))
+    values[0] = 1.0
+    np.multiply.outer(np.sqrt(2.0 / degree) * scale[1:] / scale[:-1], z, out=values[1:])
+    rows = list(values)
+    for k in range(1, n - 1):
+        nxt = rows[k + 1]
+        nxt *= rows[k]
+        nxt -= rows[k - 1]
+        if k % _RESCALE_EVERY == 0:
+            peak = np.maximum(np.abs(rows[k]), np.abs(nxt))
+            big = peak > _RESCALE_ABOVE
+            if big.any():
+                values[: k + 2, big] /= peak[big]
+    values /= scale[:, None]
+    return values
+
+
+# the first ten zeros of the Airy function Ai, DLMF Table 9.9.1
+_AIRY_ZEROS = np.array([
+    -2.338107410459767, -4.087949444130971, -5.520559828095551, -6.786708090071759, -7.944133587120853,
+    -9.022650853340980, -10.040174341558086, -11.008524303733293, -11.936015563236163, -12.828776752865757,
+])
+
+
+def _airy_zeros(count: int) -> np.ndarray:
+    """The first ``count`` zeros a_1 > a_2 > ... of Ai: the table, then a_k = -T(3 pi (4k - 1) / 8).
+
+    T(t) = t**(2/3) (1 + 5/48 t**-2 - 5/36 t**-4 + 77125/82944 t**-6
+    - 108056875/6967296 t**-8 + ...) (DLMF 9.9.6, 9.9.18); from k = 11 on
+    (t >= 50) the truncation sits below an ulp.
+    """
+    k = np.arange(_AIRY_ZEROS.size + 1, count + 1)
+    t = 3.0 * np.pi / 8.0 * (4.0 * k - 1.0)
+    s = t**-2.0
+    series = 1.0 + s * (5.0 / 48.0 + s * (-5.0 / 36.0 + s * (77125.0 / 82944.0 + s * (-108056875.0 / 6967296.0))))
+    return np.concatenate((_AIRY_ZEROS, -(t ** (2.0 / 3.0)) * series))[:count]
+
+
+def _asymptotic_zeros(n: int) -> np.ndarray:
+    """Asymptotic guesses of the positive zeros of H_N, ascending, in O(N).
+
+    Tricomi's guesses in the bulk and Gatteschi's Airy-zero guesses near the
+    edge sqrt(2N + 1), switched at the index round(0.49082003 N - 4.37859653)
+    (Townsend, Trogdon, Olver, IMA J. Numer. Anal. 36 (2016) 337, lemmas
+    3.1-3.2).  From N = 200 on they are off by less than 1e-6 (7e-7 at
+    N = 200, 5e-8 at N = 1000).  Tricomi's tau_k solve tau - sin tau = c_k
+    by five Newton steps from pi/2.
+    """
+    m = n // 2
+    nu = 2.0 * n + 1.0
+    turnover = int(round(0.49082003 * n - 4.37859653))
+    c = (4.0 * m - 4.0 * np.arange(1, turnover + 2) + 3.0) * np.pi / nu
+    tau = np.full(c.size, 0.5 * np.pi)
+    for _ in range(5):
+        tau -= (tau - np.sin(tau) - c) / (1.0 - np.cos(tau))
+    sigma = np.cos(0.5 * tau) ** 2
+    bulk = nu * sigma - (1.25 / (1.0 - sigma) ** 2 - 1.0 / (1.0 - sigma) - 0.25) / (3.0 * nu)
+    a = _airy_zeros(m - turnover - 1)[::-1]
+    edge = (
+        nu
+        + 2.0 ** (2.0 / 3.0) * a * nu ** (1.0 / 3.0)
+        + 0.2 * 2.0 ** (4.0 / 3.0) * a**2 * nu ** (-1.0 / 3.0)
+        + (9.0 / 140.0 - 12.0 / 175.0 * a**3) / nu
+        + (16.0 / 1575.0 * a + 92.0 / 7875.0 * a**4) * 2.0 ** (2.0 / 3.0) * nu ** (-5.0 / 3.0)
+        - (15152.0 / 3031875.0 * a**5 + 1088.0 / 121275.0 * a**2) * 2.0 ** (1.0 / 3.0) * nu ** (-7.0 / 3.0)
+    )
+    return np.sqrt(np.concatenate((bulk, edge)))
+
+
+# From this N on the log-limit zeros are asymptotic guesses polished by one
+# Halley step, O(N**2) time and memory, instead of the O(N**3) SVD, whose
+# zeros also miss the default tol at most odd N from 193 and at every N
+# from 241 on, where the solve paid a Newton step for them.  Measured on a
+# 2-core host over whole log-limit solves: the new start took 1.15x the time
+# at N = 160, broke even at N = 200 and took 0.87x at N = 240 and 0.61x at
+# N = 250.
+_ASYMPTOTIC_MIN_N = 200
+
+
+def _hermite_zeros(n: int) -> np.ndarray:
+    """Positive zeros of H_N, ascending (the right half of the log-limit minimum).
+
+    Below _ASYMPTOTIC_MIN_N they are :func:`_golub_welsch_zeros`.  From it
+    on they are :func:`_asymptotic_zeros` moved by one Halley step on p_N,
+    which needs only u = p_N / p_N' from the last two rows of
+    :func:`_hermite_values`, because p_N' = sqrt(2N) p_{N-1} and
+    p_N'' = 2 z p_N' - 2 N p_N: z - u / (1 - u (z - N u)).  A Halley step
+    is cubic, so a guess error of about 1e-7 leaves one of order 1e-21, far
+    below the rounding of p_N, and the zeros come out within about an ulp
+    of the true ones.  The table of p_0 .. p_N takes O(N**2) memory, which
+    is what compute_modes builds at the same size.
+    """
+    if n < _ASYMPTOTIC_MIN_N:
+        return _golub_welsch_zeros(n)
+    z = _asymptotic_zeros(n)
+    values = _hermite_values(z, n + 1)
+    u = values[n] / (np.sqrt(2.0 * n) * values[n - 1])
+    return z - u / (1.0 - u * (z - n * u))
 
 
 # nodes of the trapezoid CDF of the continuum profile, over theta in [0, pi/2]
@@ -124,7 +248,8 @@ def _virial_scaled(half: np.ndarray, n: int, d: float) -> np.ndarray:
     logs, so that sep**-d cannot overflow at large d.
     """
     pos = _parity.unfold(half, n)
-    log_terms = -d * np.log((pos[None, :] - pos[:, None])[_pair_mask(n)])
+    first, second = _pair_indices(n)
+    log_terms = -d * np.log(pos[second] - pos[first])
     peak = log_terms.max()
     log_pairs = peak + np.log(np.exp(log_terms - peak).sum())
     log_scale = (np.log(d) + log_pairs - np.log(2.0 * (half**2).sum())) / (d + 2.0)
@@ -141,7 +266,12 @@ def _initial_half(spec: SystemSpec) -> np.ndarray:
     n = spec.n_particles
     interaction = spec.interaction
     if _minimum_is_hermite_zeros(interaction):
-        return _hermite_zeros(n)
+        if interaction.is_log_limit:
+            return _hermite_zeros(n)
+        # the d = 2 solve ends at the tol floor from N = 71 on, where the
+        # polished zeros change outcomes both ways: from them (71, 2), (72, 2)
+        # and (78, 2) stop converging and (79, 2) starts to
+        return _golub_welsch_zeros(n)
     return _virial_scaled(_continuum_quantiles(n, interaction.d), n, interaction.d)
 
 
@@ -243,8 +373,15 @@ def solve_equilibrium(
     initial_positions : array_like, optional
         Starting point override; its antisymmetric part is used.  The
         default is the zeros of the Hermite polynomial H_N for the log
-        limit and for d = 2, which are their exact minima.  Any other power
-        law starts at the quantiles i/(N + 1) of the large-N density of
+        limit and for d = 2, which are their exact minima: the dense SVD of
+        :func:`_golub_welsch_zeros`, except in the log limit from
+        N = _ASYMPTOTIC_MIN_N on, where :func:`_hermite_zeros` polishes
+        asymptotic guesses by one Halley step to within an ulp, so that the
+        solve mostly stops at the start (0 iterations at every N from 200
+        to 460 but 429, 441, 452 and 458, where the gradient at the zeros
+        rounds to just above 1e-12; the SVD start took at least 1 at every
+        N from 241).  Any other power law
+        starts at the quantiles i/(N + 1) of the large-N density of
         the trapped Riesz gas, (1 - t**2)**((1 + d)/2) for d < 1 and
         (1 - t**2)**(1/d) for d >= 1, scaled by the exact virial factor
         onto the landscape's minimum along that ray.  For N = 2 and 3 this

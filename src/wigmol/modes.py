@@ -16,12 +16,12 @@ recurrence instead, once they pass a residual check against the blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _parity
-from .equilibrium import Configuration, _minimum_is_hermite_zeros, _point
+from .equilibrium import Configuration, _hermite_values, _minimum_is_hermite_zeros, _point
 from .errors import NegativeEigenvalue, UnsupportedLimit
 from .potential import SystemSpec, _gradient_and_hessian
 
@@ -32,6 +32,9 @@ class NormalModes:
 
     frequencies: np.ndarray
     mode_matrix: np.ndarray
+    # set only by compute_modes, whose rows are exactly even or odd under
+    # reflection, so that mirror columns of mode_matrix**2 are equal
+    _mirrored: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freqs = np.array(self.frequencies, dtype=float)
@@ -62,45 +65,6 @@ def _fix_signs(rows: np.ndarray, width: int) -> np.ndarray:
 # compute_modes calls: the closed form took 1.25x the time of eigh at N = 32,
 # broke even at N = 48 and was 1.2-1.4x faster at N = 64, for both exponents.
 _CLOSED_FORM_MIN_N = 48
-
-# columns of the recurrence are divided down once an entry passes this size,
-# checked every _RESCALE_EVERY steps, so that p_k cannot overflow
-_RESCALE_ABOVE = 1e100
-_RESCALE_EVERY = 32
-
-
-def _hermite_values(z: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` orthonormal Hermite polynomials p_0, p_1, ... at z, one row per degree.
-
-    Runs the three-term recurrence
-    z p_k = sqrt((k+1)/2) p_{k+1} + sqrt(k/2) p_{k-1} on q_k = s_k p_k,
-    with s_{k+1} = s_{k-1} sqrt((k+1)/k), which makes it two array
-    operations per degree: q_{k+1} = (c_k z) q_k - q_{k-1}.  Row k + 1
-    holds c_k z until step k overwrites it.  Each column (one point)
-    carries a free positive scale: a column is divided by its largest
-    magnitude whenever that passes _RESCALE_ABOVE, so entries it leaves
-    far below its peak may underflow to zero.
-    """
-    degree = np.arange(1, n)
-    ratio = np.sqrt(degree[1:] / degree[:-1])  # s_{k+1} / s_{k-1} for k = 1 .. N-2
-    scale = np.ones(n)
-    scale[2::2] = np.cumprod(ratio[0::2])
-    scale[3::2] = np.cumprod(ratio[1::2])
-    values = np.empty((n, z.size))
-    values[0] = 1.0
-    np.multiply.outer(np.sqrt(2.0 / degree) * scale[1:] / scale[:-1], z, out=values[1:])
-    rows = list(values)
-    for k in range(1, n - 1):
-        nxt = rows[k + 1]
-        nxt *= rows[k]
-        nxt -= rows[k - 1]
-        if k % _RESCALE_EVERY == 0:
-            peak = np.maximum(np.abs(rows[k]), np.abs(nxt))
-            big = peak > _RESCALE_ABOVE
-            if big.any():
-                values[: k + 2, big] /= peak[big]
-    values /= scale[:, None]
-    return values
 
 
 def _hermite_block_eigenpairs(z: np.ndarray, n: int, power: int):
@@ -194,7 +158,9 @@ def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     order = np.argsort(frequencies, kind="stable")
     rows = _parity.unfold_rows(even_vectors, odd_vectors)[order]
     n = config.n_particles
-    return NormalModes(frequencies[order], _fix_signs(rows, n - n // 2))
+    modes = NormalModes(frequencies[order], _fix_signs(rows, n - n // 2))
+    object.__setattr__(modes, "_mirrored", True)
+    return modes
 
 
 def ground_state_precision(modes: NormalModes) -> np.ndarray:

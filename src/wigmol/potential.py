@@ -126,6 +126,18 @@ def _pair_mask(n: int) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the n(n - 1)/2 pairs i < j, built once per size.
+
+    They list the pairs in the row-major order of :func:`_pair_mask`.
+    """
+    pairs = np.nonzero(_pair_mask(n))
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _landscape_rows(spec: SystemSpec, positions, first: int) -> tuple[np.ndarray, np.ndarray]:
     """Gradient entries and curvature rows ``first:`` from one pair pass.
 
@@ -187,7 +199,8 @@ def potential_value(spec: SystemSpec, positions) -> float:
         For the hard-core variant.
     """
     pos = _checked(spec, positions)
-    pairs = np.abs((pos[:, None] - pos[None, :])[_pair_mask(spec.n_particles)])
+    first, second = _pair_indices(spec.n_particles)
+    pairs = np.abs(pos[first] - pos[second])
     if spec.interaction.is_log_limit:
         return float((pos**2).sum() - np.log(pairs**2).sum())
     return float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())

@@ -219,8 +219,14 @@ def all_site_kernels(modes: NormalModes, config: Configuration) -> KernelSet:
     """Kernels for every site from two weighted column sums of the modes.
 
     The modes of a solved chain are exactly even or odd under reflection,
-    so mirror sites i and N - i + 1 carry bitwise identical
-    (A, a, b, eta, y) with no averaging.
+    so mirror columns of U**2 are equal and mirror sites i and N - i + 1
+    carry bitwise identical (A, a, b, eta, y) with no averaging.  For modes
+    that :func:`~wigmol.modes.compute_modes` returned, the sums run over
+    the middle and right-half columns only, half the O(N**2) work, and are
+    mirrored onto the left half before the kernels are formed.  Modes
+    built any other way take the sums over every column.  Either way the
+    set, and any SingularBlock message, is bitwise what the sums over
+    every column give.
 
     Raises
     ------
@@ -228,7 +234,13 @@ def all_site_kernels(modes: NormalModes, config: Configuration) -> KernelSet:
         Naming the first site whose b falls outside (0, 2a).
     """
     n = config.n_particles
-    params = _kernel_parameters(*_precision_diagonals(modes, slice(None)), n, 1)
+    if modes._mirrored:
+        half = _precision_diagonals(modes, slice(n // 2, None))
+        # the middle-out sums without the middle site, reversed, are the left half's
+        diagonals = [np.concatenate((sums[n % 2 :][::-1], sums)) for sums in half]
+    else:
+        diagonals = _precision_diagonals(modes, slice(None))
+    params = _kernel_parameters(*diagonals, n, 1)
     return KernelSet(config.positions, *params)
 
 

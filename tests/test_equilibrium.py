@@ -383,3 +383,39 @@ def test_swamped_or_non_finite_curvature_fails_the_solve(n, d, tol, message):
     # couplings that grow like d drown the trap's margin of 1 in rounding; at d = 1e300 they are inf times 0
     with pytest.raises(DegenerateHessian, match=message):
         solve_equilibrium(SystemSpec(n, Interaction.power_law(d)), tol=tol)
+
+
+SWITCH = equilibrium._ASYMPTOTIC_MIN_N
+
+
+def _polished_svd_zeros(n):
+    # the SVD zeros moved by one Newton step on p_N
+    zeros = equilibrium._golub_welsch_zeros(n)
+    values = equilibrium._hermite_values(zeros, n + 1)
+    return zeros - values[n] / (np.sqrt(2.0 * n) * values[n - 1])
+
+
+@pytest.mark.parametrize("n", [SWITCH, SWITCH + 1, 300, 400, 401, 1000, 2000])
+def test_log_limit_zeros_sit_within_four_ulp(n):
+    reference = _polished_svd_zeros(n)
+    zeros = equilibrium._hermite_zeros(n)
+    assert zeros.shape == (n // 2,)
+    assert np.abs(zeros - reference).max() <= 4 * np.spacing(reference.max())
+
+
+def test_zeros_below_the_switch_are_the_svd():
+    n = SWITCH - 1
+    assert np.array_equal(equilibrium._hermite_zeros(n), equilibrium._golub_welsch_zeros(n))
+
+
+@pytest.mark.parametrize("n", [SWITCH, 300, 399, 400, 401, 460])
+def test_log_limit_solve_stops_at_its_start(n):
+    config = solve_equilibrium(SystemSpec(n, Interaction.log_limit()))
+    assert config.iterations == 0
+    assert config.residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 60, 200])
+def test_inverse_square_start_keeps_the_svd_zeros(n):
+    half = equilibrium._initial_half(SystemSpec(n, Interaction.power_law(2.0)))
+    assert np.array_equal(half, equilibrium._golub_welsch_zeros(n))

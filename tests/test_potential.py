@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from wigmol import Interaction, SystemSpec, _parity, potential_gradient, potential_hessian, potential_value
 from wigmol.errors import CoincidentPositions, UnsupportedLimit
 from wigmol.oracle import fd_gradient, fd_jacobian, random_admissible_positions
-from wigmol.potential import _gradient_and_hessian
+from wigmol.potential import _gradient_and_hessian, _pair_mask
 
 ROOT_HALF = np.sqrt(2.0) / 2.0
 
@@ -176,3 +176,21 @@ def test_row_pass_is_the_tail_of_the_full_pass(token, n):
     full = potential_hessian(spec, chain)
     assert np.array_equal(_parity.odd_block(rows), _parity.odd_block(full))
     assert np.array_equal(_parity.even_block(rows), _parity.even_block(full))
+
+
+@pytest.mark.parametrize("token", [0.5, 3.0, "log"])
+@pytest.mark.parametrize("n", [2, 3, 7, 64])
+def test_value_sums_the_pairs_as_the_full_difference_matrix_did(token, n):
+    spec = SystemSpec(n, Interaction.from_token(token))
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        if n <= 7:
+            pos = rng.permutation(random_admissible_positions(rng, n))
+        else:
+            pos = rng.permutation(np.cumsum(rng.uniform(0.3, 1.0, n)) - 0.35 * n)
+        pairs = np.abs((pos[:, None] - pos[None, :])[_pair_mask(n)])
+        if spec.interaction.is_log_limit:
+            expected = float((pos**2).sum() - np.log(pairs**2).sum())
+        else:
+            expected = float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())
+        assert potential_value(spec, pos) == expected

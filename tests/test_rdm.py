@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import kernel_set, solved
 from wigmol import (
+    Configuration,
     Interaction,
     KernelSet,
     Molecule,
@@ -28,7 +29,7 @@ from wigmol import (
     site_purity,
     solve_equilibrium,
 )
-from wigmol import rdm
+from wigmol import equilibrium, rdm
 from wigmol.errors import NoConvergence, SingularBlock, UnsupportedLimit
 
 
@@ -478,3 +479,61 @@ def test_reading_k_builds_no_ladders():
     assert spectrum.ladders is spectrum.ladders
     with pytest.raises(dataclasses.FrozenInstanceError):
         spectrum.ladders = ()
+
+
+def _kernels_over_every_column(modes, config):
+    n = config.n_particles
+    return KernelSet(config.positions, *rdm._kernel_parameters(*rdm._precision_diagonals(modes, slice(None)), n, 1))
+
+
+def _hermite_chain(n):
+    # the zeros of H_N are the d = 2 minimum, which the default solve misses above N = 78
+    zeros = equilibrium._golub_welsch_zeros(n)
+    return Configuration(np.concatenate((-zeros[::-1], np.zeros(n % 2), zeros)), equilibrium.BETA, 0.0)
+
+
+@pytest.mark.parametrize("token", ["log", 0.5, 2.0])
+@pytest.mark.parametrize("n", [2, 3, 30, 31, 400, 401])
+def test_half_chain_kernels_are_bitwise_those_of_every_column(token, n):
+    spec = SystemSpec(n, Interaction.from_token(token))
+    if token == 2.0 and n > 78:
+        config = _hermite_chain(n)
+    else:
+        # the default tol sits below the floor of the d = 0.5 solve at N = 400
+        config = solve_equilibrium(spec, tol=1e-11)
+    modes = compute_modes(spec, config)
+    assert modes._mirrored
+    kernels = all_site_kernels(modes, config)
+    reference = _kernels_over_every_column(modes, config)
+    for name in rdm._KERNEL_ARRAYS:
+        assert np.array_equal(getattr(kernels, name), getattr(reference, name)), name
+
+
+def test_half_chain_kernels_name_the_same_singular_site():
+    # sites 1 and 4 couple through two frequencies; sites 2 and 3 see one, so b = 0 there
+    root = np.sqrt(0.5)
+    rows = root * np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]])
+    modes = NormalModes(np.array([1.0, 2.0, 1.5, 1.5]), rows)
+    # the rows are exactly even or odd, as compute_modes marks its own
+    object.__setattr__(modes, "_mirrored", True)
+    _, config = solved(4, 1.0)
+    with pytest.raises(SingularBlock) as reference:
+        _kernels_over_every_column(modes, config)
+    assert "site 2" in str(reference.value)
+    with pytest.raises(SingularBlock) as failure:
+        all_site_kernels(modes, config)
+    assert str(failure.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_modes_without_parity_take_every_column(n):
+    # a random orthogonal matrix is neither even nor odd, so no site mirrors another
+    spec, config = solved(n, 1.0)
+    rows = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))[0]
+    modes = NormalModes(compute_modes(spec, config).frequencies, rows)
+    assert not modes._mirrored
+    kernels = all_site_kernels(modes, config)
+    reference = _kernels_over_every_column(modes, config)
+    for name in rdm._KERNEL_ARRAYS:
+        assert np.array_equal(getattr(kernels, name), getattr(reference, name)), name
+    assert list(kernels) == [site_kernel(modes, config, site) for site in range(1, n + 1)]
