@@ -186,7 +186,7 @@ def _asymptotic_zeros(n: int) -> np.ndarray:
     return np.sqrt(np.concatenate((bulk, edge)))
 
 
-# From this N on the log-limit zeros are asymptotic guesses polished by one
+# From this N on the Hermite zeros are asymptotic guesses polished by one
 # Halley step, O(N**2) time and memory, instead of the O(N**3) SVD, whose
 # zeros also miss the default tol at most odd N from 193 and at every N
 # from 241 on, where the solve paid a Newton step for them.  Measured on a
@@ -197,7 +197,7 @@ _ASYMPTOTIC_MIN_N = 200
 
 
 def _hermite_zeros(n: int) -> np.ndarray:
-    """Positive zeros of H_N, ascending (the right half of the log-limit minimum).
+    """Positive zeros of H_N, ascending (the right half of the log-limit and d = 2 minimum).
 
     Below _ASYMPTOTIC_MIN_N they are :func:`_golub_welsch_zeros`.  From it
     on they are :func:`_asymptotic_zeros` moved by one Halley step on p_N,
@@ -266,12 +266,7 @@ def _initial_half(spec: SystemSpec) -> np.ndarray:
     n = spec.n_particles
     interaction = spec.interaction
     if _minimum_is_hermite_zeros(interaction):
-        if interaction.is_log_limit:
-            return _hermite_zeros(n)
-        # the d = 2 solve ends at the tol floor from N = 71 on, where the
-        # polished zeros change outcomes both ways: from them (71, 2), (72, 2)
-        # and (78, 2) stop converging and (79, 2) starts to
-        return _golub_welsch_zeros(n)
+        return _hermite_zeros(n)
     return _virial_scaled(_continuum_quantiles(n, interaction.d), n, interaction.d)
 
 
@@ -372,16 +367,14 @@ def solve_equilibrium(
         Newton iteration budget.
     initial_positions : array_like, optional
         Starting point override; its antisymmetric part is used.  The
-        default is the zeros of the Hermite polynomial H_N for the log
-        limit and for d = 2, which are their exact minima: the dense SVD of
-        :func:`_golub_welsch_zeros`, except in the log limit from
-        N = _ASYMPTOTIC_MIN_N on, where :func:`_hermite_zeros` polishes
-        asymptotic guesses by one Halley step to within an ulp, so that the
-        solve mostly stops at the start (0 iterations at every N from 200
-        to 460 but 429, 441, 452 and 458, where the gradient at the zeros
-        rounds to just above 1e-12; the SVD start took at least 1 at every
-        N from 241).  Any other power law
-        starts at the quantiles i/(N + 1) of the large-N density of
+        default for the log limit and for d = 2 is their exact minimum, the
+        zeros of the Hermite polynomial H_N from :func:`_hermite_zeros`:
+        the dense SVD below N = _ASYMPTOTIC_MIN_N, and from there on
+        asymptotic guesses polished by one Halley step to within an ulp, so
+        that the log-limit solve mostly stops at the start (0 iterations at
+        every N from 200 to 460 but 429, 441, 452 and 458, where the
+        gradient at the zeros rounds to just above 1e-12).  Any other power
+        law starts at the quantiles i/(N + 1) of the large-N density of
         the trapped Riesz gas, (1 - t**2)**((1 + d)/2) for d < 1 and
         (1 - t**2)**(1/d) for d >= 1, scaled by the exact virial factor
         onto the landscape's minimum along that ray.  For N = 2 and 3 this

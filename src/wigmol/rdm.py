@@ -334,8 +334,8 @@ class OccupancySpectrum:
 
     @functools.cached_property
     def _truncated(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        amplitude, eta, y = self._kernels.amplitude, self._kernels.eta, self._kernels.y
-        lam0 = amplitude * np.sqrt(np.pi * (1.0 - y**2) / eta)
+        y = self._kernels.y
+        lam0 = leading_occupancy(self._kernels)
         target = self._tail_tol * (1.0 - y) / lam0
         with np.errstate(divide="ignore", invalid="ignore"):
             rungs = np.ceil(np.log(target) / np.log(y)) - 1.0
@@ -402,10 +402,12 @@ def rank_n_density_approximation(kernels, spectrum: OccupancySpectrum, x) -> np.
 
     Keeping only the l = 0 rung of each ladder gives the N-orbital
     approximation sum_i lambda_0_i * u_0_i(x)**2; it is accurate exactly
-    when the correlation excess delta_k is small.
+    when the correlation excess delta_k is small.  lambda_0 is read from
+    the spectrum's kernels by :func:`leading_occupancy`, so no ladder is
+    built.
     """
     kernels = KernelSet.from_kernels(kernels)
-    lam0 = np.array([ladder[0] for ladder in spectrum.ladders[: len(kernels)]])
+    lam0 = leading_occupancy(spectrum._kernels)[: len(kernels)]
     center, eta = kernels.center[: lam0.size], kernels.eta[: lam0.size]
 
     def term(x, lam0, center, root, quarter):  # lambda_0 * natural_orbital(kernel, 0, x)**2, step by step

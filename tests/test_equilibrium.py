@@ -215,10 +215,10 @@ def test_start_of_wrong_length_rejected():
         solve_equilibrium(spec, initial_positions=np.arange(5.0))
 
 
-@pytest.mark.parametrize("n", [10, 100, 250])
+@pytest.mark.parametrize("n", [10, 100, 250, 499])
 def test_hermite_start_needs_no_landscape_value(n, monkeypatch):
-    # N = 10 and 100 stop at the start; N = 250 takes one Newton step, which
-    # the line search accepts on the gradient alone
+    # N = 10, 100 and 250 stop at the start; N = 499 takes one Newton step,
+    # which the line search accepts on the gradient alone
     def refuse(*args):
         raise AssertionError("potential_value was called")
 
@@ -415,7 +415,8 @@ def test_log_limit_solve_stops_at_its_start(n):
     assert config.residual <= 1e-12
 
 
-@pytest.mark.parametrize("n", [10, 60, 200])
-def test_inverse_square_start_keeps_the_svd_zeros(n):
+@pytest.mark.parametrize("n", [10, 60, SWITCH - 1, SWITCH, 401])
+def test_inverse_square_and_log_limit_share_one_start(n):
     half = equilibrium._initial_half(SystemSpec(n, Interaction.power_law(2.0)))
-    assert np.array_equal(half, equilibrium._golub_welsch_zeros(n))
+    assert np.array_equal(half, equilibrium._initial_half(SystemSpec(n, Interaction.log_limit())))
+    assert np.array_equal(half, equilibrium._hermite_zeros(n))

@@ -151,7 +151,9 @@ def _degree_of_correlation(modes, config):
 
 
 @pytest.mark.parametrize(
-    "n, token", [(FLOOR, "log"), (100, "log"), (250, "log"), (460, "log"), (FLOOR, 2.0), (60, 2.0), (78, 2.0)]
+    "n, token",
+    [(FLOOR, "log"), (100, "log"), (200, "log"), (250, "log"), (300, "log"), (400, "log"), (460, "log"),
+     (FLOOR, 2.0), (60, 2.0), (78, 2.0)],
 )
 def test_closed_form_modes_agree_with_eigh(monkeypatch, n, token):
     spec, config = solved(n, token)

@@ -461,6 +461,19 @@ def test_molecule_is_a_frozen_record():
         molecule.kernels = None
 
 
+def test_rung_zero_is_the_leading_occupancy_of_every_site():
+    # Python's y**2, which leading_occupancy and the kernel table take, and
+    # numpy's differ in the last bit at some y, 0.42670239050505154 among
+    # them; at tail_tol = inf every ladder is its rung 0 alone
+    rng = np.random.default_rng(1)
+    y = np.concatenate(([0.42670239050505154], rng.uniform(0.3, 1.0, 20_000)))
+    ones = np.ones_like(y)
+    kernels = KernelSet(np.arange(y.size, dtype=float), ones, ones, ones, ones, y)
+    spectrum = occupancy_spectrum(kernels, tail_tol=float("inf"))
+    assert spectrum.l_max == 0
+    assert [ladder[0] for ladder in spectrum.ladders] == leading_occupancy(kernels).tolist()
+
+
 def test_reading_k_builds_no_ladders():
     # at tail_tol = 0 every ladder runs to the 200,000-rung cap: 16 MB for N = 10 once built
     _, _, _, kernels = kernel_set(10, 1.0)
