@@ -45,8 +45,8 @@ def large_d_side(n=3):
     print(f"== hard-core limit, N={n} ==")
     lattice = lattice_guess(n).positions
     print(f"{'d':>8}  {'max|pos - lattice|':>18}  {'-2a+b (outer)':>14}  {'y (outer)':>10}")
-    for d, tol in ((1e2, 1e-12), (1e4, 1e-9), (1e6, 1e-9)):
-        molecule = pipeline(SystemSpec(n, Interaction.power_law(d)), tol=tol)
+    for d in (1e2, 1e4, 1e6):
+        molecule = pipeline(SystemSpec(n, Interaction.power_law(d)))
         gap = np.max(np.abs(molecule.config.positions - lattice))
         outer = molecule.kernels[0]
         print(f"{d:>8g}  {gap:18.2e}  {outer.b - 2 * outer.a:14.6f}  {outer.y:10.6f}")
@@ -73,9 +73,9 @@ def main():
     profile = hardcore_density(n)
     fig, ax = plt.subplots(figsize=(6, 4))
     ax.plot(profile.abscissae, profile.values, label="hard-core limit")
-    for d, tol in ((10.0, 1e-12), (100.0, 1e-12)):
+    for d in (10.0, 100.0):
         total = np.zeros_like(profile.abscissae)
-        for kernel in pipeline(SystemSpec(n, Interaction.power_law(d)), tol=tol).kernels:
+        for kernel in pipeline(SystemSpec(n, Interaction.power_law(d))).kernels:
             total += site_density(kernel, profile.abscissae)
         ax.plot(profile.abscissae, total, "--", label=f"d={d:g}")
     ax.set_xlabel("x (scaled)")

@@ -276,29 +276,51 @@ def _point(spec: SystemSpec) -> str:
     return f"N={spec.n_particles}, {label}"
 
 
-def _descend(spec: SystemSpec, half: np.ndarray, step: np.ndarray, grad_norm: float):
+def _descend(spec: SystemSpec, half: np.ndarray, step: np.ndarray, grad_norm: float, halvings: range):
     """Backtracking step on the right-half coordinates, or None if none is found.
 
-    Accepts the first ordered candidate at which the gradient max-norm
-    drops below ``grad_norm``.  The Newton step solves H step = -g, so to
-    first order every gradient component shrinks as (1 - t) g along it,
-    and this one test suffices everywhere above the floating-point floor.
+    Tries the candidates ``half + step / 2**h`` for h in ``halvings`` and
+    accepts the first ordered one at which the gradient max-norm drops
+    below ``grad_norm``.  The Newton step solves H step = -g, so to first
+    order every gradient component shrinks as (1 - t) g along it, and
+    this one test suffices everywhere above the floating-point floor.
     Returns the accepted candidate, its (gradient, curvature) pass, which
-    the next Newton point reads, and the number of step halvings before
-    it.  A candidate may overflow the pair powers; a non-finite gradient
-    fails the test, so it is rejected without a warning.
+    the next Newton point reads, and h.  A candidate may overflow the
+    pair powers; a non-finite gradient fails the test, so it is rejected
+    without a warning.
     """
     n = spec.n_particles
-    scale = 1.0
-    for halvings in range(60):
-        candidate = half + scale * step
+    for halving in halvings:
+        candidate = half + 0.5**halving * step
         if _ordered(candidate):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 landscape = _gradient_and_hessian(spec, _parity.unfold(candidate, n))
                 if np.abs(landscape[0]).max() < grad_norm:
-                    return candidate, landscape, halvings
-        scale *= 0.5
+                    return candidate, landscape, halving
     return None
+
+
+def _at_rounding_floor(spec: SystemSpec, half: np.ndarray, hess: np.ndarray, residual: float, grad_scale: float):
+    """Whether the gradient max-norm ``residual`` is finite and within the rounding of its sums.
+
+    Each gradient entry sums the trap term and N - 1 pair forces, so it
+    rounds by up to about N eps times the largest of their magnitudes.
+    |H_ij| |x_i - x_j| is (1 + d) times the pair force, a factor that also
+    covers the relative error of about d eps in each sep**(-d - 1).  So
+    the floor is N eps max_i(|x_i| + sum_j |H_ij| |x_i - x_j|), over the
+    middle and right-half curvature rows the iterate already holds (the
+    diagonal meets a zero separation and drops out).  In the log limit
+    the raw gradient is twice its rows, hence the division by
+    ``grad_scale``.
+    """
+    if not np.isfinite(residual):
+        return False
+    n = spec.n_particles
+    pos = _parity.unfold(half, n)
+    right = pos[n // 2 :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(right) + (np.abs(hess) * np.abs(right[:, None] - pos[None, :])).sum(axis=1)
+    return residual <= n * np.finfo(float).eps * float(terms.max()) / grad_scale
 
 
 def _check_minimum(spec: SystemSpec, rows: np.ndarray):
@@ -351,18 +373,21 @@ def solve_equilibrium(
     parity blocks read; the step solves only the odd block, which is the
     whole curvature on that subspace.  A backtracking line search accepts
     the first candidate whose gradient max-norm drops; its pass is the
-    next iterate's, and no landscape value is ever computed.  For the
-    hard-core variant the exact unit lattice is returned unchanged.
+    next iterate's, and no landscape value is ever computed.  The solve
+    stops when the gradient max-norm is at most ``tol``, or when the full
+    Newton step fails to lower it while it is finite and no larger than
+    its own rounding floor (see ``_at_rounding_floor``); either stop
+    passes the same curvature certificate.  For the hard-core variant the
+    exact unit lattice is returned unchanged.
 
     Parameters
     ----------
     spec : SystemSpec
     tol : float
         Convergence threshold on the gradient max-norm over the middle and
-        right-half sites.  Around 1e-12 is reachable for moderate d and N;
-        for very large exponents (d >~ 1e4) the power-law terms cannot be
-        evaluated much better than d times machine epsilon, so a looser
-        tol is required there.
+        right-half sites.  Where it lies below the floating-point floor of
+        the force sums (large N, large d) the solve stops at that floor
+        instead, so a returned ``residual > tol`` marks a floor stop.
     max_iter : int
         Newton iteration budget.
     initial_positions : array_like, optional
@@ -423,23 +448,28 @@ def solve_equilibrium(
     for iteration in range(1, max_iter + 1):
         grad, hess = landscape
         residual = float(np.abs(grad).max())
-        if residual <= tol:
-            _check_minimum(spec, hess)
-            config = Configuration(_parity.unfold(half, n), kind, residual, iteration - 1, halvings)
-            hess.flags.writeable = False
-            object.__setattr__(config, "_curvature", (spec, hess))
-            return config
-        # the entries run from the middle out; for odd N the first is the middle
-        # site's, zero by symmetry up to roundoff, and the step leaves it out
-        step = np.linalg.solve(_parity.odd_block(hess), -grad_scale * grad[n % 2 :])
-        accepted = _descend(spec, half, step, residual)
-        if accepted is None:
-            raise NoConvergence(
-                f"{_point(spec)}: Newton line search found no acceptable step "
-                f"in iteration {iteration} (gradient max-norm {residual:.3g}, tol {tol:g})"
-            )
-        half, landscape, step_halvings = accepted
-        halvings += step_halvings
+        if residual > tol:
+            # the entries run from the middle out; for odd N the first is the middle
+            # site's, zero by symmetry up to roundoff, and the step leaves it out
+            step = np.linalg.solve(_parity.odd_block(hess), -grad_scale * grad[n % 2 :])
+            # a refused full step at the rounding floor stops the solve here; otherwise the step is halved
+            accepted = _descend(spec, half, step, residual, range(1))
+            if accepted is None and not _at_rounding_floor(spec, half, hess, residual, grad_scale):
+                accepted = _descend(spec, half, step, residual, range(1, 60))
+                if accepted is None:
+                    raise NoConvergence(
+                        f"{_point(spec)}: Newton line search found no acceptable step "
+                        f"in iteration {iteration} (gradient max-norm {residual:.3g}, tol {tol:g})"
+                    )
+            if accepted is not None:
+                half, landscape, step_halvings = accepted
+                halvings += step_halvings
+                continue
+        _check_minimum(spec, hess)
+        config = Configuration(_parity.unfold(half, n), kind, residual, iteration - 1, halvings)
+        hess.flags.writeable = False
+        object.__setattr__(config, "_curvature", (spec, hess))
+        return config
     residual = float(np.abs(landscape[0]).max())
     raise NoConvergence(
         f"{_point(spec)}: gradient max-norm {residual:.3g} still above tol {tol:g} "

@@ -21,10 +21,6 @@ class DegenerateHessian(WigmolError):
     """The curvature matrix is not positive definite at a candidate minimum."""
 
 
-class NegativeEigenvalue(DegenerateHessian):
-    """A mode eigenvalue came out non-positive (saddle point)."""
-
-
 class InvalidScale(WigmolError):
     """A coordinate-scaling parameter (g or d_aux) is not positive and finite."""
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _parity
-from .equilibrium import Configuration, _hermite_values, _minimum_is_hermite_zeros, _point
-from .errors import NegativeEigenvalue, UnsupportedLimit
+from .equilibrium import Configuration, _check_minimum, _hermite_values, _minimum_is_hermite_zeros
+from .errors import UnsupportedLimit
 from .potential import SystemSpec, _gradient_and_hessian
 
 
@@ -108,6 +108,7 @@ def _block_eigenpairs(spec: SystemSpec, config: Configuration):
         hess = kept[1]
     else:
         hess = _gradient_and_hessian(spec, config.positions)[1]
+        _check_minimum(spec, hess)
     blocks = _parity.even_block(hess), _parity.odd_block(hess)
     if n >= _CLOSED_FORM_MIN_N and _minimum_is_hermite_zeros(spec.interaction):
         power = 1 if spec.interaction.is_log_limit else 2
@@ -136,18 +137,33 @@ def compute_modes(spec: SystemSpec, config: Configuration) -> NormalModes:
     reversal; its sign makes the largest entry positive, and because
     mirror entries are exact copies that entry always lies in the first
     half (or at the middle site).  Frequencies are merged in ascending
-    order.  Raises NegativeEigenvalue if either block has a non-positive
-    eigenvalue; its message names N, the interaction and the block.
+    order.
+
+    The rows of a new pass go through the solve's positivity test,
+    :func:`~wigmol.equilibrium._check_minimum`, before any eigh or closed
+    form; kept rows passed it when the solve returned them.  It certifies
+    every eigenvalue of both blocks as formed to be at least 1/2, so no
+    frequency needs a sign test: the closed-form values are 1..N or their
+    squares, and eigh is backward stable, exact for the block perturbed by
+    p(n) eps ||B|| in norm (p modest in the block size n; LAPACK Users'
+    Guide, section 4.7).  The certificate also gives eps ||B|| <=
+    sqrt(2) / (N + 2), so by Weyl's inequality no computed eigenvalue
+    falls below 1/2 - sqrt(2) p(n) / (N + 2), which is positive for any
+    p(n) < (N + 2) / (2 sqrt 2).
+
+    Raises
+    ------
+    UnsupportedLimit
+        For the hard-core limit, which has no harmonic expansion.
+    DegenerateHessian
+        If the rows of a new pass fail the certificate: non-finite, or a
+        diagonal-dominance margin that drowns in rounding.  The message
+        names N and the interaction.
     """
     if spec.interaction.is_hard_core:
         raise UnsupportedLimit("the hard-core limit has no harmonic expansion; only its "
                                "unit-lattice equilibrium and hardcore_density exist there")
     (even_values, even_vectors), (odd_values, odd_vectors) = _block_eigenpairs(spec, config)
-    lowest, block = min((even_values[0], "even"), (odd_values[0], "odd"))
-    if lowest <= 0:
-        raise NegativeEigenvalue(
-            f"smallest curvature eigenvalue is {lowest:g}, in the {block} parity block at {_point(spec)}"
-        )
     frequencies = np.sqrt(np.concatenate((even_values, odd_values)))
     order = np.argsort(frequencies, kind="stable")
     rows = _parity.unfold_rows(even_vectors, odd_vectors)[order]

@@ -41,6 +41,15 @@ def test_scan_k_table(capsys):
     assert abs(by_key[("4", "2")] - 0.1300) < 1e-3
 
 
+def test_scan_k_covers_the_roadmap_grid(capsys):
+    # d = 2 from N = 79 and d = 6 from N = 39 stop at the rounding floor, above the default tol
+    status, out, _ = run(["scan-k", "--n", "2..120", "--d", "log,0.5,1,2,6"], capsys)
+    assert status == 0
+    header, rows = parse_csv(out)
+    assert len(rows) == 595
+    assert rows[-1][:2] == ["120", "6"]
+
+
 def test_csv_is_deterministic_and_newline_terminated(capsys):
     argv = ["scan-k", "--n", "2,3", "--d", "0.5,2"]
     _, first, _ = run(argv, capsys)

@@ -17,7 +17,7 @@ from wigmol import (
     solve_equilibrium,
 )
 from wigmol import _parity, potential
-from wigmol.equilibrium import ALPHA, BETA, LATTICE
+from wigmol.equilibrium import ALPHA, BETA, DEFAULT_TOL, LATTICE
 from wigmol.errors import DegenerateHessian, InvalidScale, NoConvergence
 
 
@@ -117,10 +117,9 @@ def test_no_convergence_raises():
 
 
 # The log-limit minimum is exactly the zeros of H_N (Stieltjes 1885) and its
-# squared mode frequencies are exactly 1..N (Calogero 1977).  N >= 500 is left
-# out because the default tol sits below the floating-point floor there:
-# the solve raises NoConvergence from every start, so the N = 1000 oracle
-# waits for a scale-aware stopping rule.
+# squared mode frequencies are exactly 1..N (Calogero 1977).  hermgauss
+# returns NaN at N = 1000, so N >= 500 is checked against the polished SVD
+# zeros below.
 @pytest.mark.parametrize("n", [2, 3, 10, 50, 100, 250, 400])
 def test_log_limit_is_hermite_zeros(n):
     spec = SystemSpec(n, Interaction.log_limit())
@@ -420,3 +419,51 @@ def test_inverse_square_and_log_limit_share_one_start(n):
     half = equilibrium._initial_half(SystemSpec(n, Interaction.power_law(2.0)))
     assert np.array_equal(half, equilibrium._initial_half(SystemSpec(n, Interaction.log_limit())))
     assert np.array_equal(half, equilibrium._hermite_zeros(n))
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_large_log_limit_solve_is_hermite_zeros(n):
+    # the default tol lies below the rounding floor here, so the solve stops at the floor
+    spec = SystemSpec(n, Interaction.log_limit())
+    config = solve_equilibrium(spec)
+    reference = _polished_svd_zeros(n)
+    assert np.abs(config.positions[n // 2 :] - reference).max() <= 4 * np.spacing(reference.max())
+    squared = compute_modes(spec, config).frequencies ** 2
+    assert_allclose(squared, np.arange(1.0, n + 1.0), rtol=1e-10)
+
+
+# points inside the documented domain where the default tol lies below the rounding floor
+@pytest.mark.parametrize(
+    "n, token",
+    [(500, "log"), (1000, "log"), (400, 1), (1000, 1), (1000, 6), (2000, 0.5), (5, 1e6), (400, 1e4),
+     (60, 3), (10, 1e3), (2, 1e6), (150, 2), (200, 1)],
+)
+def test_default_solve_converges_off_the_scan_grid(n, token):
+    config = solve_equilibrium(SystemSpec(n, Interaction.from_token(token)))
+    positions = config.positions
+    assert np.all(np.diff(positions) > 0)
+    assert np.array_equal(positions, -positions[::-1])
+
+
+def _at_floor(spec, config):
+    n = spec.n_particles
+    grad_scale = 0.5 if spec.interaction.is_log_limit else 1.0
+    grad, hess = potential._gradient_and_hessian(spec, config.positions)
+    residual = float(np.abs(grad).max())
+    return equilibrium._at_rounding_floor(spec, config.positions[n // 2 :], hess, residual, grad_scale)
+
+
+@pytest.mark.parametrize("n, token", [(78, 2.0), (120, 6.0), (1000, "log")])
+def test_a_residual_above_tol_marks_a_stop_at_the_rounding_floor(n, token):
+    spec = SystemSpec(n, Interaction.from_token(token))
+    config = solve_equilibrium(spec)
+    assert config.residual > DEFAULT_TOL
+    assert _at_floor(spec, config)
+    # the stop still leaves curvature rows the certificate accepted
+    equilibrium._check_minimum(spec, config._curvature[1])
+
+
+def test_a_start_above_the_rounding_floor_is_not_a_floor_stop():
+    spec = SystemSpec(10, Interaction.power_law(6.0))
+    start = solve_equilibrium(spec, max_iter=1, tol=np.inf)
+    assert not _at_floor(spec, start)

@@ -20,7 +20,7 @@ from wigmol import (
 )
 from wigmol import _parity, equilibrium, potential
 from wigmol import modes as modes_module
-from wigmol.errors import DegenerateHessian, NegativeEigenvalue, UnsupportedLimit
+from wigmol.errors import DegenerateHessian, UnsupportedLimit
 from wigmol.oracle import fd_jacobian
 
 
@@ -110,25 +110,24 @@ def test_parity_blocks_carry_the_full_spectrum(n):
 @pytest.mark.parametrize(
     "n,token,label", [(4, 1.0, "N=4, d=1"), (5, "log", "N=5, log limit"), (64, "log", "N=64, log limit")]
 )
-def test_negative_curvature_names_its_point_and_block(monkeypatch, n, token, label):
+def test_negative_curvature_names_its_point(monkeypatch, n, token, label):
     spec, config = solved(n, token)
     # a hand-built copy keeps no curvature rows from the solve, so compute_modes makes the patched pass
     config = Configuration(config.positions, config.coordinate_kind, config.residual)
     grad, hess = modes_module._gradient_and_hessian(spec, config.positions)
-    # negated, the block holding the largest curvature eigenvalue has the lowest one
-    tops = {
-        "even": np.linalg.eigvalsh(_parity.even_block(hess))[-1],
-        "odd": np.linalg.eigvalsh(_parity.odd_block(hess))[-1],
-    }
-    block = max(tops, key=tops.get)
-    monkeypatch.setattr(modes_module, "_gradient_and_hessian", lambda spec, positions: (grad, -hess))
-    with pytest.raises(NegativeEigenvalue) as failure:
-        compute_modes(spec, config)
-    message = str(failure.value)
-    assert message.startswith(f"smallest curvature eigenvalue is {-tops[block]:g}")
-    assert f"{block} parity block at {label}" in message
-    # the CLI exits 3 on a DegenerateHessian, so this error must be one
-    assert isinstance(failure.value, DegenerateHessian)
+
+    def refuse(*args):
+        raise AssertionError("the blocks were diagonalized before the certificate")
+
+    # the certificate comes before eigh and before the closed form
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(modes_module, "_hermite_block_eigenpairs", refuse)
+    for rows, reason in ((-hess, "curvature is not certified positive definite"),
+                         (np.full_like(hess, np.nan), "curvature is not finite")):
+        monkeypatch.setattr(modes_module, "_gradient_and_hessian", lambda spec, positions, rows=rows: (grad, rows))
+        with pytest.raises(DegenerateHessian) as failure:
+            compute_modes(spec, config)
+        assert str(failure.value).startswith(f"{label}: {reason} at the candidate minimum")
 
 
 FLOOR = modes_module._CLOSED_FORM_MIN_N
@@ -263,7 +262,8 @@ def _hand_built(config):
     return Configuration(config.positions, config.coordinate_kind, config.residual)
 
 
-# d = 6 is left out from N = 39 on, where the default solve does not converge
+# d = 6 is left out from N = 39 on, where the default solve stops at the rounding floor
+# after one more pass, that of the refused full step
 @pytest.mark.parametrize(
     "n, token",
     [(n, token) for n in (2, 7, 12, 31) for token in ("log", "0.5", "2", "6")]

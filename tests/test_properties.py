@@ -10,6 +10,7 @@ from wigmol import (
     all_site_kernels,
     compute_modes,
     occupancy_spectrum,
+    pipeline,
     solve_equilibrium,
 )
 
@@ -28,3 +29,15 @@ def test_pipeline_properties_on_the_scan_domain(n, d):
     assert np.min(np.abs(modes.frequencies - 1.0)) <= 1e-10
     spectrum = occupancy_spectrum(all_site_kernels(modes, config))
     assert spectrum.degree_of_correlation >= n
+
+
+def test_delta_k_rises_strictly_in_n_and_in_d():
+    # the log limit is the d -> 0 end of each row
+    sizes = (2, 3, 5, 10, 20, 40, 80, 120)
+    exponents = ("log", 0.05, 0.3, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4)
+    table = np.array([
+        [occupancy_spectrum(pipeline(SystemSpec(n, Interaction.from_token(d))).kernels).delta_k for d in exponents]
+        for n in sizes
+    ])
+    assert np.all(np.diff(table, axis=0) > 0)
+    assert np.all(np.diff(table, axis=1) > 0)
