@@ -14,95 +14,66 @@ from . import equilibrium, modes, observables, rdm, verification
 from .errors import InvalidScale, UnsupportedLimit, WigmolError
 from .potential import Interaction, SystemSpec
 
-LOG_TOKEN = "log"
-INF_TOKEN = "inf"
-
 _DEFAULTS = dict(format="csv", output="-", tail_tol=rdm.DEFAULT_TAIL_TOL,
                  tol=equilibrium.DEFAULT_TOL, max_iter=equilibrium.DEFAULT_MAX_ITER)
 _MAX_GRID_POINTS = 1_000_000
 
 
-class _BadRequest(Exception):
-    """Invalid command-line request (exit status 2)."""
-
-
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing; bad requests raise ValueError, which main turns into exit 2
 
 
 def _parse_int_list(text: str) -> list[int]:
-    values: list[int] = []
+    """Sorted distinct integers from ``4``, ``2,3,5`` or ``2..30``; SystemSpec checks each."""
+    ranges = []
     try:
         for token in text.split(","):
-            token = token.strip()
-            if ".." in token:
-                lo, hi = token.split("..")
-                values.extend(range(int(lo), int(hi) + 1))
-            else:
-                values.append(int(token))
+            lo, dots, hi = token.strip().partition("..")
+            ranges.append(range(int(lo), int(hi if dots else lo) + 1))
     except ValueError:
-        raise _BadRequest(f"could not parse particle numbers from {text!r}")
+        raise ValueError(f"could not parse particle numbers from {text!r}")
+    if sum(max(r.stop - r.start, 0) for r in ranges) > _MAX_GRID_POINTS:
+        raise ValueError(f"particle-number list {text!r} has more than {_MAX_GRID_POINTS} values")
+    values = sorted(set(itertools.chain.from_iterable(ranges)))
     if not values:
-        raise _BadRequest("empty particle-number list")
-    if min(values) < 2:
-        raise _BadRequest("particle numbers must be at least 2")
-    return sorted(set(values))
+        raise ValueError("empty particle-number list")
+    return values
 
 
 def _parse_real_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _BadRequest(f"grids use start:stop:step, got {text!r}")
+        raise ValueError(f"grids use start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     if not all(np.isfinite((start, stop, step))):
-        raise _BadRequest(f"grid bounds must be finite, got {text!r}")
+        raise ValueError(f"grid bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
-        raise _BadRequest(f"bad grid bounds in {text!r}")
+        raise ValueError(f"bad grid bounds in {text!r}")
     count = np.floor((stop - start) / step + 1e-9) + 1
     if not count <= _MAX_GRID_POINTS:
-        raise _BadRequest(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     # float(i) is exact, so point i is bitwise the scalar start + i * step
     return start + np.arange(int(count)) * step
 
 
-def _d_sort_key(token):
-    if token == LOG_TOKEN:
-        return (0, 0.0)
-    if token == INF_TOKEN:
-        return (2, 0.0)
-    return (1, token)
-
-
-def _parse_d_list(text: str) -> list:
-    values: list = []
+def _parse_d_list(text: str) -> list[Interaction]:
+    """Distinct interactions from tokens and start:stop:step grids: the log limit, ascending d, the hard core."""
+    interactions = set()
     for token in text.split(","):
         token = token.strip()
-        if token in (LOG_TOKEN, INF_TOKEN):
-            values.append(token)
-        elif ":" in token:
-            values.extend(_parse_real_grid(token).tolist())
+        if ":" in token:
+            interactions.update(map(Interaction.power_law, _parse_real_grid(token).tolist()))
         else:
-            try:
-                d = float(token)
-            except ValueError:
-                raise _BadRequest(f"could not parse exponent token {token!r}")
-            if d <= 0:
-                raise _BadRequest("power-law exponents must be positive")
-            values.append(d)
-    if not values:
-        raise _BadRequest("empty exponent list")
-    return sorted(set(values), key=_d_sort_key)
+            interactions.add(Interaction.from_token(token))
+    return sorted(interactions, key=lambda i: (not i.is_log_limit, i.is_hard_core, i.d or 0.0))
 
 
-def _single(values, label):
-    if len(values) != 1:
-        raise _BadRequest(f"this command takes exactly one {label}")
-    return values[0]
-
-
-def _one_point(args) -> tuple:
-    """The one particle number and one exponent token of a single-point command."""
-    return _single(_parse_int_list(args.n), "particle number"), _single(_parse_d_list(args.d), "exponent")
+def _one_point(args) -> SystemSpec:
+    """The one (N, d) point of a single-point command."""
+    sizes, interactions = _parse_int_list(args.n), _parse_d_list(args.d)
+    if len(sizes) * len(interactions) != 1:
+        raise ValueError(f"this command takes one (N, d) point, got {len(sizes) * len(interactions)}")
+    return SystemSpec(sizes[0], interactions[0])
 
 
 def _d_token(token) -> str:
@@ -145,13 +116,12 @@ def _emit(table: dict, args) -> None:
 # shared pipeline
 
 
-def _solve(n: int, token, args):
-    spec = SystemSpec(n, Interaction.from_token(token))
-    return spec, equilibrium.solve_equilibrium(spec, tol=args.tol, max_iter=args.max_iter)
+def _solve(spec: SystemSpec, args) -> equilibrium.Configuration:
+    return equilibrium.solve_equilibrium(spec, tol=args.tol, max_iter=args.max_iter)
 
 
-def _molecule(n: int, token, args) -> rdm.Molecule:
-    return rdm.pipeline(SystemSpec(n, Interaction.from_token(token)), tol=args.tol, max_iter=args.max_iter)
+def _molecule(spec: SystemSpec, args) -> rdm.Molecule:
+    return rdm.pipeline(spec, tol=args.tol, max_iter=args.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +129,28 @@ def _molecule(n: int, token, args) -> rdm.Molecule:
 
 
 def _cmd_equilibrium(args) -> dict:
-    n, token = _one_point(args)
-    _, config = _solve(n, token, args)
-    return {"site": np.arange(1, n + 1), "position": config.positions}
+    config = _solve(_one_point(args), args)
+    return {"site": np.arange(1, config.n_particles + 1), "position": config.positions}
 
 
 def _cmd_modes(args) -> dict:
-    n, token = _one_point(args)
-    frequencies = modes.compute_modes(*_solve(n, token, args)).frequencies
+    spec = _one_point(args)
+    frequencies = modes.compute_modes(spec, _solve(spec, args)).frequencies
     return {"mode": np.arange(1, frequencies.size + 1), "frequency": frequencies}
 
 
 def _cmd_kernel(args) -> dict:
-    n, token = _one_point(args)
-    k = _molecule(n, token, args).kernels
+    k = _molecule(_one_point(args), args).kernels
     return {
-        "site": np.arange(1, n + 1), "center": k.center, "A": k.amplitude, "a": k.a,
+        "site": np.arange(1, k.center.size + 1), "center": k.center, "A": k.amplitude, "a": k.a,
         "b": k.b, "eta": k.eta, "y": k.y, "lambda0": rdm.leading_occupancy(k),
     }
 
 
 def _cmd_spectrum(args) -> dict:
-    n, token = _one_point(args)
-    ladders = rdm.occupancy_spectrum(_molecule(n, token, args).kernels, tail_tol=args.tail_tol).ladders
+    spec = _one_point(args)
+    n = spec.n_particles
+    ladders = rdm.occupancy_spectrum(_molecule(spec, args).kernels, tail_tol=args.tail_tol).ladders
     lengths = np.fromiter(map(len, ladders), dtype=int, count=n)
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     rungs = np.arange(starts.size) - starts
@@ -190,23 +159,24 @@ def _cmd_spectrum(args) -> dict:
 
 def _cmd_scan_k(args) -> dict:
     points = []
-    for n, token in itertools.product(_parse_int_list(args.n), _parse_d_list(args.d)):
-        spectrum = rdm.occupancy_spectrum(_molecule(n, token, args).kernels)
+    for n, interaction in itertools.product(_parse_int_list(args.n), _parse_d_list(args.d)):
+        spectrum = rdm.occupancy_spectrum(_molecule(SystemSpec(n, interaction), args).kernels)
+        token = interaction.d or ("log" if interaction.is_log_limit else "inf")
         points.append((n, _d_token(token), spectrum.degree_of_correlation, spectrum.delta_k))
     return dict(zip(("n", "d", "K", "delta_K"), zip(*points)))
 
 
 def _cmd_density(args) -> dict:
-    n, token = _one_point(args)
+    spec = _one_point(args)
     x_grid = _parse_real_grid(args.x) if args.x else None
-    if token == INF_TOKEN:
+    if spec.interaction.is_hard_core:
         # the hard-core profile reads none of the solver or placement flags; they
         # are checked all the same, as at finite d
-        spec, _ = _solve(n, token, args)
+        _solve(spec, args)
         observables.placement_factor(spec, args.g, args.spacing, args.d_aux)
-        profile = observables.hardcore_density(n, x_grid)
+        profile = observables.hardcore_density(spec.n_particles, x_grid)
     else:
-        molecule = _molecule(n, token, args)
+        molecule = _molecule(spec, args)
         profile = observables.density_profile(
             molecule.kernels, molecule.spec, x_grid, g=args.g, spacing=args.spacing, d_aux=args.d_aux
         )
@@ -214,9 +184,9 @@ def _cmd_density(args) -> dict:
 
 
 def _cmd_momentum(args) -> dict:
-    n, token = _one_point(args)
+    spec = _one_point(args)
     k_grid = _parse_real_grid(args.k) if args.k else None
-    distribution = observables.momentum_distribution(_molecule(n, token, args).kernels, k_grid)
+    distribution = observables.momentum_distribution(_molecule(spec, args).kernels, k_grid)
     return {"abscissa": distribution.abscissae, "value": distribution.values}
 
 
@@ -284,10 +254,10 @@ def _config_value(action, key, value):
     else:
         allowed = (int, float) if action.type is float else (int,)
         if isinstance(value, bool) or not isinstance(value, allowed):
-            raise _BadRequest(f"config field {key!r} must be a JSON {action.type.__name__}, got {value!r}")
+            raise ValueError(f"config field {key!r} must be a JSON {action.type.__name__}, got {value!r}")
         value = action.type(value)
     if action.choices is not None and value not in action.choices:
-        raise _BadRequest(f"config field {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
+        raise ValueError(f"config field {key!r} must be one of {', '.join(action.choices)}, got {value!r}")
     return value
 
 
@@ -297,12 +267,12 @@ def _apply_config(args, command: argparse.ArgumentParser) -> None:
             with open(args.config) as handle:
                 config = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
-            raise _BadRequest(f"could not read config file: {exc}")
+            raise ValueError(f"could not read config file: {exc}")
         actions = {action.dest: action for action in command._actions}
         for key, value in config.items():
             attr = key.replace("-", "_")
             if attr not in actions or not hasattr(args, attr):
-                raise _BadRequest(f"unknown config field {key!r}")
+                raise ValueError(f"unknown config field {key!r}")
             value = _config_value(actions[attr], key, value)
             if getattr(args, attr) is None:
                 setattr(args, attr, value)
@@ -311,7 +281,7 @@ def _apply_config(args, command: argparse.ArgumentParser) -> None:
             setattr(args, attr, default)
     for attr in ("n", "d"):
         if hasattr(args, attr) and getattr(args, attr) is None:
-            raise _BadRequest(f"--{attr} is required for this command")
+            raise ValueError(f"--{attr} is required for this command")
 
 
 def _value_flags(commands: dict[str, argparse.ArgumentParser]) -> frozenset[str]:
@@ -352,7 +322,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError, but not one the request causes
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (_BadRequest, UnsupportedLimit, InvalidScale, ValueError) as exc:
+    except (UnsupportedLimit, InvalidScale, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WigmolError as exc:

@@ -369,14 +369,8 @@ def momentum_quadrature(kernels, k: float) -> float:
 
 
 def fd_gradient(func, positions: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
-    positions = np.asarray(positions, dtype=float)
-    grad = np.zeros_like(positions)
-    for k in range(positions.size):
-        bump = np.zeros_like(positions)
-        bump[k] = step
-        grad[k] = (func(positions + bump) - func(positions - bump)) / (2.0 * step)
-    return grad
+    """Central-difference gradient of a scalar function: the one row of its Jacobian."""
+    return fd_jacobian(lambda p: np.array([func(p)]), positions, step)[0]
 
 
 def fd_jacobian(vector_func, positions: np.ndarray, step: float = 1e-5) -> np.ndarray:

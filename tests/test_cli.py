@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wigmol import cli, verification
+from wigmol import Interaction, cli, equilibrium, rdm, verification
 
 
 def run(argv, capsys):
@@ -383,3 +383,36 @@ def test_python_dash_m_runs_the_same_command_line(capsys):
     bad = subprocess.run(bad_argv, capture_output=True, env=env, check=False)
     assert bad.returncode == 2
     assert b"--no-such-flag" in bad.stderr
+
+
+def test_exponents_parse_to_sorted_distinct_interactions():
+    power_law = Interaction.power_law
+    assert cli._parse_d_list("inf, 2,log,0.5:1:0.25,2.0") == [
+        Interaction.log_limit(), power_law(0.5), power_law(0.75), power_law(1.0), power_law(2.0),
+        Interaction.hard_core(),
+    ]
+
+
+@pytest.mark.parametrize("n", ["2..1000002", "2..1000000000000"])
+def test_particle_number_lists_are_capped_before_they_are_built(n, capsys):
+    status, out, err = run(["equilibrium", "--n", n, "--d", "1"], capsys)
+    assert status == 2
+    assert out == ""
+    assert err == f"error: particle-number list {n!r} has more than 1000000 values\n"
+
+
+@pytest.mark.parametrize(
+    "n, d", [("1..3", "2"), ("2,3", "log,-2"), ("2,3", "1,banana")]
+)
+def test_invalid_points_fail_before_any_solve(n, d, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return equilibrium.solve_equilibrium(*args, **kwargs)
+
+    # rdm.pipeline calls the solver through its own import
+    monkeypatch.setattr(rdm, "solve_equilibrium", counted)
+    status, out, err = run(["scan-k", "--n", n, "--d", d], capsys)
+    assert (status, out, calls) == (2, "", [])
+    assert err.startswith("error: ")

@@ -1,4 +1,4 @@
-"""Properties of the whole pipeline over the K-table domain, by hypothesis."""
+"""Properties of the whole pipeline over the K-table and the documented domains, by hypothesis."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -27,6 +27,26 @@ def test_pipeline_properties_on_the_scan_domain(n, d):
     modes = compute_modes(spec, config)
     # the centre-of-mass mode oscillates at the trap frequency whatever the repulsion
     assert np.min(np.abs(modes.frequencies - 1.0)) <= 1e-10
+    spectrum = occupancy_spectrum(all_site_kernels(modes, config))
+    assert spectrum.degree_of_correlation >= n
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(min_value=2, max_value=300),
+    token=st.one_of(st.just("log"), st.floats(min_value=0.05, max_value=1e4)),
+)
+def test_pipeline_properties_on_the_documented_domain(n, token):
+    spec = SystemSpec(n, Interaction.from_token(token))
+    config = solve_equilibrium(spec)
+    positions = config.positions
+    assert np.all(np.diff(positions) > 0)
+    assert np.array_equal(positions, -positions[::-1])
+    modes = compute_modes(spec, config)
+    # eigh finds the trap mode only up to its backward error, eps times the curvature norm
+    _, rows = config._curvature
+    window = n * np.finfo(float).eps * np.abs(rows).sum(axis=1).max()
+    assert np.min(np.abs(modes.frequencies**2 - 1.0)) <= window
     spectrum = occupancy_spectrum(all_site_kernels(modes, config))
     assert spectrum.degree_of_correlation >= n
 
