@@ -65,7 +65,7 @@ def _parse_d_list(text: str) -> list[Interaction]:
             interactions.update(map(Interaction.power_law, _parse_real_grid(token).tolist()))
         else:
             interactions.add(Interaction.from_token(token))
-    return sorted(interactions, key=lambda i: (not i.is_log_limit, i.is_hard_core, i.d or 0.0))
+    return sorted(interactions)
 
 
 def _one_point(args) -> SystemSpec:
@@ -161,8 +161,7 @@ def _cmd_scan_k(args) -> dict:
     points = []
     for n, interaction in itertools.product(_parse_int_list(args.n), _parse_d_list(args.d)):
         spectrum = rdm.occupancy_spectrum(_molecule(SystemSpec(n, interaction), args).kernels)
-        token = interaction.d or ("log" if interaction.is_log_limit else "inf")
-        points.append((n, _d_token(token), spectrum.degree_of_correlation, spectrum.delta_k))
+        points.append((n, _d_token(interaction.d or "log"), spectrum.degree_of_correlation, spectrum.delta_k))
     return dict(zip(("n", "d", "K", "delta_K"), zip(*points)))
 
 

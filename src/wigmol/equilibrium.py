@@ -478,13 +478,10 @@ def solve_equilibrium(
 
 
 def coordinate_scale(spec: SystemSpec, g: float, d_aux: float | None = None) -> float:
-    """Factor mapping scaled coordinates to physical ones at coupling g."""
+    """Factor mapping scaled coordinates to physical ones at coupling g (1 at the hard core)."""
     if not 0 < g < np.inf:
         raise InvalidScale("the coupling strength g must be positive and finite")
     interaction = spec.interaction
-    if interaction.is_hard_core:
-        # g**(1/(2+d)) -> 1 as d -> infinity
-        return 1.0
     if interaction.is_log_limit:
         if d_aux is None or not 0 < d_aux < np.inf:
             raise InvalidScale("the log limit needs a positive and finite auxiliary exponent d_aux")

@@ -21,40 +21,34 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoincidentPositions, UnsupportedLimit
 
-_POWER_LAW = "power_law"
-_LOG_LIMIT = "log_limit"
-_HARD_CORE = "hard_core"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Interaction:
-    """Repulsion variant: a finite power d, the log limit, or the hard core.
+    """Repulsion exponent d on [0, inf]: 0 is the log limit, inf the hard core.
 
-    Build instances through :meth:`power_law`, :meth:`log_limit`,
-    :meth:`hard_core` or :meth:`from_token` rather than the raw constructor.
+    Interactions sort by d.  Build instances through :meth:`power_law`,
+    :meth:`log_limit`, :meth:`hard_core` or :meth:`from_token`.
     """
 
-    kind: str
-    d: float | None = None
+    d: float
 
     def __post_init__(self):
-        if self.kind not in (_POWER_LAW, _LOG_LIMIT, _HARD_CORE):
-            raise ValueError(f"unknown interaction kind {self.kind!r}")
-        if self.kind == _POWER_LAW:
-            if self.d is None or not 0 < self.d < math.inf:
-                raise ValueError("the power-law exponent d must be positive and finite")
-        elif self.d is not None:
-            raise ValueError(f"{self.kind} carries no exponent")
+        if not 0 <= self.d <= math.inf:
+            raise ValueError(f"the exponent d must lie in [0, inf], got {self.d!r}")
 
     @classmethod
     def power_law(cls, d: float) -> "Interaction":
-        return cls(_POWER_LAW, float(d))
+        d = float(d)
+        if not 0 < d < math.inf:
+            raise ValueError("the power-law exponent d must be positive and finite")
+        return cls(d)
 
     @classmethod
     def from_token(cls, token) -> "Interaction":
@@ -67,19 +61,19 @@ class Interaction:
 
     @classmethod
     def log_limit(cls) -> "Interaction":
-        return cls(_LOG_LIMIT)
+        return cls(0.0)
 
     @classmethod
     def hard_core(cls) -> "Interaction":
-        return cls(_HARD_CORE)
+        return cls(math.inf)
 
     @property
     def is_log_limit(self) -> bool:
-        return self.kind == _LOG_LIMIT
+        return self.d == 0
 
     @property
     def is_hard_core(self) -> bool:
-        return self.kind == _HARD_CORE
+        return self.d == math.inf
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,9 @@ class SystemSpec:
     interaction: Interaction
 
     def __post_init__(self):
-        if self.n_particles < 2:
+        if not isinstance(self.interaction, Interaction):
+            raise TypeError(f"expected an Interaction, got {type(self.interaction).__name__}")
+        if operator.index(self.n_particles) < 2:
             raise ValueError("at least two particles are needed for a pair repulsion")
 
 

@@ -148,6 +148,20 @@ def test_physical_centers_log_and_hard_core():
     assert_allclose(physical_centers(config, hard_spec, g=1e6), [-1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("g", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("d_aux", [None, 0.1, -1.0, np.nan])
+def test_hard_core_scale_is_exactly_one_and_ignores_d_aux(g, d_aux):
+    scale = equilibrium.coordinate_scale(SystemSpec(3, Interaction.hard_core()), g, d_aux)
+    assert type(scale) is float and scale == 1.0
+
+
+def test_numpy_integer_size_solves_like_an_int():
+    interaction = Interaction.power_law(1.0)
+    config = solve_equilibrium(SystemSpec(np.int64(4), interaction))
+    assert np.array_equal(config.positions, solve_equilibrium(SystemSpec(4, interaction)).positions)
+    assert compute_modes(SystemSpec(np.int64(4), interaction), config).frequencies.shape == (4,)
+
+
 def test_physical_centers_invalid_scale():
     spec, config = solved(2, 2.0)
     with pytest.raises(InvalidScale):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -29,6 +32,42 @@ def test_interaction_from_token():
     assert Interaction.from_token("2") == Interaction.from_token(2.0) == Interaction.power_law(2.0)
     with pytest.raises(ValueError):
         Interaction.from_token("infinity")
+
+
+def test_interaction_is_one_exponent():
+    assert [field.name for field in dataclasses.fields(Interaction)] == ["d"]
+    assert Interaction(0.0) == Interaction.log_limit()
+    assert Interaction(math.inf) == Interaction.hard_core()
+
+
+def test_interactions_sort_by_exponent():
+    mixed = [Interaction.hard_core(), Interaction.power_law(2), Interaction.log_limit(), Interaction.power_law(0.5)]
+    expected = [Interaction.log_limit(), Interaction.power_law(0.5), Interaction.power_law(2.0), Interaction.hard_core()]
+    assert sorted(mixed) == expected
+
+
+@pytest.mark.parametrize("d", [math.nan, -1.0, -math.inf])
+def test_raw_interaction_refuses_exponents_off_the_axis(d):
+    with pytest.raises(ValueError, match=r"\[0, inf\]"):
+        Interaction(d)
+
+
+@pytest.mark.parametrize("d", [0.0, -0.0, math.inf])
+def test_power_law_refuses_the_limits(d):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Interaction.power_law(d)
+
+
+@pytest.mark.parametrize("n", [4.5, 5.0, "5"])
+def test_system_spec_refuses_a_size_that_is_not_an_integer(n):
+    with pytest.raises(TypeError):
+        SystemSpec(n, Interaction.power_law(1.0))
+
+
+@pytest.mark.parametrize("interaction", ["log", 2.0, None])
+def test_system_spec_refuses_an_interaction_that_is_not_an_interaction(interaction):
+    with pytest.raises(TypeError, match="Interaction"):
+        SystemSpec(3, interaction)
 
 
 def test_power_law_value_at_two_particle_minimum():
