@@ -16,12 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import ALPHA, BETA, Configuration, lattice_guess
+from .equilibrium import ALPHA, BETA, Configuration, _virial_scaled, lattice_guess
 from .errors import DimensionTooLarge, NoConvergence, UnsupportedLimit
 from .modes import NormalModes, ground_state_precision
 from .potential import SystemSpec, potential_gradient
+from .rdm import KernelSet
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# the golden-section fraction (3 - sqrt 5)/2 of Brent's method
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -237,20 +239,54 @@ def nystrom_occupancies(kernel_evaluator, grid, top_k: int) -> np.ndarray:
     return occupancies
 
 
-def _golden_section(func, lo: float, hi: float, xtol: float) -> float:
-    left = hi - _GOLDEN * (hi - lo)
-    right = lo + _GOLDEN * (hi - lo)
-    f_left, f_right = func(left), func(right)
-    while hi - lo > xtol:
-        if f_left < f_right:
-            hi, right, f_right = right, left, f_left
-            left = hi - _GOLDEN * (hi - lo)
-            f_left = func(left)
+def _brent_minimum(func, lo: float, hi: float, xtol: float) -> float:
+    """Minimum of a unimodal ``func`` on [lo, hi] by Brent's method, to within ``xtol / 2``.
+
+    Each step fits a parabola through the three best points and takes its
+    vertex when it falls inside the bracket and moves less than half the
+    step before last; otherwise it takes a golden-section step into the
+    larger part of the bracket (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5).  No probe lies within ``xtol / 4``
+    of the best point or of a bracket end, and the search stops once the
+    best point lies within ``xtol / 2`` of both ends.  An infinite value
+    makes the parabola NaN, which fails its tests, so such steps are
+    golden.
+    """
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = func(x)
+    step = previous = 0.0
+    tol = 0.25 * xtol
+    while max(x - a, b - x) > 2.0 * tol:
+        golden = True
+        if abs(previous) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * previous) and q * (a - x) < p < q * (b - x):
+                previous, step = step, p / q
+                golden = False
+                if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = tol if x < 0.5 * (a + b) else -tol
+        if golden:
+            previous = a - x if x >= 0.5 * (a + b) else b - x
+            step = _GOLDEN_STEP * previous
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        fu = func(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, left, f_left = left, right, f_right
-            right = lo + _GOLDEN * (hi - lo)
-            f_right = func(right)
-    return 0.5 * (lo + hi)
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
 
 
 def _line_energy(spec: SystemSpec, half: np.ndarray, k: int):
@@ -284,8 +320,17 @@ def _line_energy(spec: SystemSpec, half: np.ndarray, k: int):
 
 
 def _parabolic_sweeps(spec, half, step, max_sweeps, move_tol):
+    """Cyclic parabolic-fit moves, ``-step (f+ - f-) / (2 (f+ - 2 f0 + f-))`` per coordinate.
+
+    A phase stops once no coordinate moves by more than the larger of
+    ``move_tol`` and its move's noise floor.  Each probe sums O(N) terms,
+    so it rounds by about N eps max(|f0|, |f+|, |f-|); that rounding in
+    ``f+ - f-`` resolves the move only to ``step N eps max|f| / denom``,
+    and sweeping on below it only stirs the noise.
+    """
+    noise = spec.n_particles * np.finfo(float).eps * step
     for _ in range(max_sweeps):
-        moved = 0.0
+        settled = True
         for k in range(half.size):
             line = _line_energy(spec, half, k)
             f0 = line(half[k])
@@ -295,8 +340,9 @@ def _parabolic_sweeps(spec, half, step, max_sweeps, move_tol):
             if denom > 0:
                 delta = -0.5 * step * (f_plus - f_minus) / denom
                 half[k] += delta
-                moved = max(moved, abs(delta))
-        if moved < move_tol:
+                floor = noise * max(abs(f0), abs(f_plus), abs(f_minus)) / denom
+                settled = settled and abs(delta) <= max(move_tol, floor)
+        if settled:
             break
     return half
 
@@ -304,11 +350,16 @@ def _parabolic_sweeps(spec, half, step, max_sweeps, move_tol):
 def independent_minimum(spec: SystemSpec) -> Configuration:
     """Re-find the ordered minimum without derivatives.
 
-    Cyclic golden-section search per coordinate from the plain unit
-    lattice (to 1e-7 per coordinate), followed by parabolic-fit polish
-    sweeps that settle once no coordinate moves by 1e-11, despite working
-    from function values only.  Meant for cross-checking the Newton
-    solver at small N.
+    Starts from the unit lattice scaled along its own ray onto the
+    landscape's minimum: ``s**(d + 2) = d S / X`` for a power law, with X
+    the sum of squared positions and S that of ``sep**-d``, and
+    ``s**2 = N (N - 1) / (2 X)`` in the log limit.  Then cyclic Brent line
+    searches per coordinate (:func:`_brent_minimum`, to 1e-7 per
+    coordinate) until no coordinate moves by 1e-6, followed by
+    parabolic-fit polish sweeps that settle once no coordinate moves by
+    more than 1e-11 or the noise floor of its move, despite working from
+    function values only (:func:`_parabolic_sweeps`).  Meant for
+    cross-checking the Newton solver at small N.
 
     Only the N//2 right-half coordinates are searched; the left half is
     their mirror image and the middle site of an odd chain sits at zero.
@@ -325,14 +376,18 @@ def independent_minimum(spec: SystemSpec) -> Configuration:
     n = spec.n_particles
     m = n // 2
 
-    half = lattice_guess(n).positions[n - m :].copy()
+    half = lattice_guess(n).positions[n - m :]
+    if spec.interaction.is_log_limit:
+        half = half * math.sqrt(n * (n - 1) / (4.0 * float((half**2).sum())))
+    else:
+        half = _virial_scaled(half, n, spec.interaction.d)
     for sweep in range(400):
         moved = 0.0
         for k in range(m):
             # the first right-half site only has to stay right of its mirror (or the middle site)
             lo = half[k - 1] + 1e-9 if k > 0 else 1e-9
             hi = half[k + 1] - 1e-9 if k < m - 1 else half[k] + 3.0
-            best = _golden_section(_line_energy(spec, half, k), lo, hi, 1e-7)
+            best = _brent_minimum(_line_energy(spec, half, k), lo, hi, 1e-7)
             moved = max(moved, abs(best - half[k]))
             half[k] = best
         if moved < 1e-6:
@@ -347,6 +402,24 @@ def independent_minimum(spec: SystemSpec) -> Configuration:
     return Configuration(positions, kind, residual)
 
 
+def _node_pair_matrix(a: float, b: float) -> np.ndarray:
+    """One site's weighted node-pair exponential ``w w' exp((b/a) s s')`` on the 60-point rule."""
+    nodes, weights = _hermite_rule(60)
+    return np.outer(weights, weights) * np.exp((b / a) * np.outer(nodes, nodes))
+
+
+# the last kernel set and its node-pair matrices; it holds the set, so no later object can reuse its id
+_last_pair_matrices: tuple[KernelSet, list[np.ndarray]] | None = None
+
+
+def _pair_matrices(kernels: KernelSet) -> list[np.ndarray]:
+    """The node-pair matrix of every site, built once per kernel set."""
+    global _last_pair_matrices
+    if _last_pair_matrices is None or _last_pair_matrices[0] is not kernels:
+        _last_pair_matrices = kernels, [_node_pair_matrix(a, b) for a, b in zip(kernels.a.tolist(), kernels.b.tolist())]
+    return _last_pair_matrices[1]
+
+
 def momentum_quadrature(kernels, k: float) -> float:
     """Two-dimensional quadrature of the momentum integral at one k.
 
@@ -354,16 +427,17 @@ def momentum_quadrature(kernels, k: float) -> float:
     60x60 tensor Gauss-Hermite rule, as an independent check of the analytic
     per-site Fourier transform.  The cosine is split as
     ``cos(u)cos(u') + sin(u)sin(u')``, so each site costs one node-pair
-    exponential and two node vectors of trigonometric values.
+    exponential and two node vectors of trigonometric values.  The
+    exponentials of the last :class:`~wigmol.rdm.KernelSet` are kept, so a
+    run of k values over one set builds them once; any other iterable of
+    kernels is packed into a new set per call.
     """
-    nodes, weights = _hermite_rule(60)
-    weight = np.outer(weights, weights)
-    node_products = np.outer(nodes, nodes)
+    nodes, _ = _hermite_rule(60)
+    kernels = KernelSet.from_kernels(kernels)
     total = 0.0
-    for kernel in kernels:
+    for kernel, pair in zip(kernels, _pair_matrices(kernels)):
         phase = (k / np.sqrt(kernel.a)) * nodes
         cos, sin = np.cos(phase), np.sin(phase)
-        pair = weight * np.exp((kernel.b / kernel.a) * node_products)
         total += kernel.amplitude / (2.0 * np.pi * kernel.a) * float(cos @ pair @ cos + sin @ pair @ sin)
     return total
 

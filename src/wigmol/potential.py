@@ -160,7 +160,11 @@ def _landscape_rows(spec: SystemSpec, positions, first: int) -> tuple[np.ndarray
         power = np.power(sep, -d - 2.0, out=sep)
         np.fill_diagonal(power[:, first:], 0.0)
         grad = pos[first:] - d * np.multiply(diff, power, out=diff).sum(axis=1)
-        coupling = np.multiply(power, d * (d + 1.0), out=power)
+        factor = d * (d + 1.0)
+        if math.isfinite(factor):
+            coupling = np.multiply(power, factor, out=power)
+        else:  # d above about 1.3e154: one factor at a time, so a coupling that underflows stays 0
+            coupling = np.multiply(np.multiply(power, d, out=power), d + 1.0, out=power)
     diagonal = 1.0 + coupling.sum(axis=1)
     hess = np.negative(coupling, out=coupling)
     np.fill_diagonal(hess[:, first:], diagonal)

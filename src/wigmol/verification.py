@@ -104,7 +104,13 @@ def doubling_check() -> Check:
 
 
 def cross_solver_checks() -> list[Check]:
-    """Newton's equilibrium against the derivative-free golden-section minimum, N = 2..8."""
+    """Newton's equilibrium against the derivative-free minimum, N = 2..8.
+
+    The derivative-free side (:func:`~wigmol.oracle.independent_minimum`)
+    runs Brent line searches and parabolic polish on function values
+    only.  It starts from the unit lattice scaled onto the landscape's
+    minimum along its own ray, which sets only where the search begins.
+    """
     checks = []
     for token in ("1", "2", "log"):
         worst = 0.0

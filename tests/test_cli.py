@@ -416,3 +416,12 @@ def test_invalid_points_fail_before_any_solve(n, d, monkeypatch, capsys):
     status, out, err = run(["scan-k", "--n", n, "--d", d], capsys)
     assert (status, out, calls) == (2, "", [])
     assert err.startswith("error: ")
+
+
+def test_couplings_that_underflow_solve_at_a_loose_tol(capsys):
+    # past d of about 1.3e154 d * (d + 1) overflows, yet each coupling of this chain underflows to 0
+    status, out, err = run(["equilibrium", "--n", "10", "--d", "1e200", "--tol", "inf"], capsys)
+    assert status == 0
+    assert err == ""
+    header, rows = parse_csv(out)
+    assert header == ["site", "position"] and len(rows) == 10

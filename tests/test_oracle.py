@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -25,6 +27,7 @@ from wigmol import (
     potential_value,
     quadrature_kernel,
     site_density,
+    verification,
 )
 from wigmol.errors import DimensionTooLarge, UnsupportedLimit
 from wigmol.oracle import random_admissible_positions
@@ -476,3 +479,108 @@ def test_split_cosine_momentum_matches_the_meshgrid_integral(n, token):
         assert abs(momentum_quadrature(kernels, k) - meshgrid_momentum_quadrature(kernels, k)) <= 1e-14
     for k in (0.0, 1.5, -7.25):
         assert momentum_quadrature(list(kernels), k) == momentum_quadrature(kernels, k)
+
+
+@pytest.mark.parametrize(
+    "func, lo, hi, minimum",
+    [
+        (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 0.3),
+        (lambda x: math.cosh(x - 2.0) + (x - 2.0) ** 4, -1.0, 5.0, 2.0),
+        (lambda x: math.inf if x < 0.2 else x + 1.0 / x, 0.0, 3.0, 1.0),
+        (lambda x: x, 0.0, 1.0, 0.0),
+    ],
+    ids=["parabola", "smooth", "infinite-part", "monotone"],
+)
+def test_brent_minimum_lands_within_half_xtol(func, lo, hi, minimum):
+    for xtol in (1e-3, 1e-7):
+        assert abs(oracle._brent_minimum(func, lo, hi, xtol) - minimum) <= xtol / 2
+
+
+def test_brent_minimum_interpolates_where_golden_section_would_not():
+    # golden section needs about 34 probes to shrink [0, 1] to 1e-7
+    probes = []
+
+    def smooth(x):
+        probes.append(x)
+        return (x - 0.3) ** 2 + (x - 0.3) ** 4
+
+    assert abs(oracle._brent_minimum(smooth, 0.0, 1.0, 1e-7) - 0.3) <= 5e-8
+    assert len(probes) <= 15
+
+
+@pytest.mark.parametrize("n, d", [(4, 0.7), (5, 1.9), (6, 2.0), (7, 0.5)])
+def test_polish_phases_stop_at_their_noise_floor(monkeypatch, n, d):
+    # here a phase that stops on a 1e-11 move alone can sweep on in the rounding noise of its probes
+    calls = [0]
+    line_energy = oracle._line_energy
+
+    def counted(*args):
+        calls[0] += 1
+        return line_energy(*args)
+
+    phases = []
+    parabolic_sweeps = oracle._parabolic_sweeps
+
+    def phase(spec, half, step, max_sweeps, move_tol):
+        before = calls[0]
+        result = parabolic_sweeps(spec, half, step, max_sweeps, move_tol)
+        # one line per coordinate per sweep
+        phases.append(((calls[0] - before) // half.size, max_sweeps))
+        return result
+
+    monkeypatch.setattr(oracle, "_line_energy", counted)
+    monkeypatch.setattr(oracle, "_parabolic_sweeps", phase)
+    spec, newton = solved(n, d)
+    derivative_free = independent_minimum(spec)
+    assert len(phases) == 2
+    assert all(sweeps < budget for sweeps, budget in phases)
+    assert np.max(np.abs(derivative_free.positions - newton.positions)) <= 1e-9
+
+
+def test_cross_solver_checks_spend_few_probes(monkeypatch):
+    # about 6,000 probes; golden-section searches from the unscaled lattice, polished until
+    # no move exceeds 1e-11, take about 24,000
+    probes = [0]
+    line_energy = oracle._line_energy
+
+    def counted(*args):
+        line = line_energy(*args)
+
+        def probe(c):
+            probes[0] += 1
+            return line(c)
+
+        return probe
+
+    monkeypatch.setattr(oracle, "_line_energy", counted)
+    checks = verification.cross_solver_checks()
+    assert all(check.metric <= 1e-9 for check in checks)
+    assert probes[0] <= 8000
+
+
+def test_momentum_pair_matrices_are_built_once_per_kernel_set(monkeypatch):
+    built = []
+    node_pair_matrix = oracle._node_pair_matrix
+
+    def counted(a, b):
+        built.append((a, b))
+        return node_pair_matrix(a, b)
+
+    monkeypatch.setattr(oracle, "_node_pair_matrix", counted)
+    monkeypatch.setattr(oracle, "_last_pair_matrices", None)
+    checks = verification.kernel_checks()
+    assert all(check.passed for check in checks)
+    # 17 values of k at each of (2, 1), (2, 2), (3, 1) and (3, 2): one matrix per site
+    assert len(built) == 2 + 2 + 3 + 3
+
+    _, _, _, kernels = kernel_set(3, 1.0)
+    built.clear()
+    values = [momentum_quadrature(kernels, k) for k in (1.5, -2.0, 1.5)]
+    assert len(built) == 3 and values[0] == values[2]
+    # equal values in a new set: its matrices are built anew, bitwise the same
+    copy = dataclasses.replace(kernels)
+    assert copy is not kernels
+    assert momentum_quadrature(copy, 1.5) == values[0]
+    assert len(built) == 6
+    held, matrices = oracle._last_pair_matrices
+    assert held is copy and len(matrices) == 3

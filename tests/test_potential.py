@@ -233,3 +233,41 @@ def test_value_sums_the_pairs_as_the_full_difference_matrix_did(token, n):
         else:
             expected = float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())
         assert potential_value(spec, pos) == expected
+
+
+_IRREGULAR = [-2.5, -1.25, -0.5, 0.5, 1.75, 3.0]
+_UNIT_STEPS = [-2.5, -1.5, -0.5, 0.5, 1.5, 2.75]
+
+
+@pytest.mark.parametrize(
+    "d, positions",
+    [(0.5, _IRREGULAR), (3.0, _IRREGULAR), (1e150, _UNIT_STEPS), (1e200, [1.5 * x for x in _UNIT_STEPS])],
+)
+def test_couplings_take_one_factor_only_where_it_is_finite(d, positions):
+    # d * (d + 1) is finite up to d of about 1.3e154 (at d = 1e150 a unit separation couples by 1e300);
+    # beyond it the couplings take d and d + 1 in turn
+    spec = SystemSpec(6, Interaction.power_law(d))
+    pos = np.array(positions)
+    sep = np.abs(pos[:, None] - pos[None, :])
+    np.fill_diagonal(sep, 1.0)
+    power = sep ** (-d - 2.0)
+    np.fill_diagonal(power, 0.0)
+    factor = d * (d + 1.0)
+    coupling = power * factor if math.isfinite(factor) else power * d * (d + 1.0)
+    hess = potential_hessian(spec, pos)
+    off_diagonal = ~np.eye(6, dtype=bool)
+    assert np.array_equal(hess[off_diagonal], -coupling[off_diagonal])
+    assert np.array_equal(np.diagonal(hess), 1.0 + coupling.sum(axis=1))
+
+
+def test_couplings_that_underflow_leave_finite_certified_rows():
+    # at d = 1e200 every lattice separation exceeds 1, so each coupling underflows to 0
+    # instead of meeting an infinite d * (d + 1)
+    from wigmol import equilibrium
+
+    spec = SystemSpec(10, Interaction.power_law(1e200))
+    config = equilibrium.solve_equilibrium(spec, tol=np.inf)
+    grad, rows = _gradient_and_hessian(spec, config.positions)
+    assert np.isfinite(grad).all() and np.isfinite(rows).all()
+    assert np.array_equal(rows[:, 5:], np.eye(5))
+    equilibrium._check_minimum(spec, rows)
