@@ -15,10 +15,6 @@ from . import _parity
 from .errors import DegenerateHessian, InvalidScale, NoConvergence
 from .potential import SystemSpec, _gradient_and_hessian, _pair_indices
 
-BETA = "beta"
-ALPHA = "alpha"
-LATTICE = "lattice"
-
 # the solver defaults, which rdm.pipeline and the command line read too
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 200
@@ -45,7 +41,6 @@ class Configuration:
     """
 
     positions: np.ndarray
-    coordinate_kind: str
     residual: float
     iterations: int = 0
     line_search_halvings: int = 0
@@ -66,7 +61,7 @@ def lattice_guess(n: int) -> Configuration:
     if n < 2:
         raise ValueError("need at least two particles")
     positions = (2.0 * np.arange(1, n + 1) - n - 1) / 2.0
-    return Configuration(positions, LATTICE, 0.0)
+    return Configuration(positions, 0.0)
 
 
 def _ordered(half: np.ndarray) -> bool:
@@ -411,8 +406,9 @@ def solve_equilibrium(
     ValueError
         Unless ``tol >= 0`` and ``max_iter >= 1``.
     NoConvergence
-        If the budget runs out or no descent step exists; the message
-        names N, the interaction, the last residual and the iterations.
+        If the budget runs out, no descent step exists or a Newton step
+        meets an exactly singular odd block; the message names N, the
+        interaction, the last residual and the iterations.
     DegenerateHessian
         Unless the curvature at the solution is certified positive
         definite: every curvature row finite, and its diagonal-dominance
@@ -420,8 +416,6 @@ def solve_equilibrium(
         ``_check_minimum``).  Non-finite curvature, and curvature whose
         margin drowns in rounding (couplings of order d, so from d around
         1e12 at N = 40), fail it.
-    numpy.linalg.LinAlgError
-        If a Newton step meets an exactly singular odd block.
 
     The returned configuration keeps the curvature rows of the final pass,
     which :func:`~wigmol.modes.compute_modes` reads for the same spec.
@@ -438,7 +432,6 @@ def solve_equilibrium(
         if start.shape != (n,):
             raise ValueError(f"expected {n} starting positions, got shape {start.shape}")
         half = _parity.fold(start)
-    kind = ALPHA if spec.interaction.is_log_limit else BETA
     # Newton pairs the gradient with the raw curvature, twice the log-limit convention
     grad_scale = 0.5 if spec.interaction.is_log_limit else 1.0
     # a start may overflow the pair powers like any candidate; its infinite residual then fails the line search
@@ -451,7 +444,13 @@ def solve_equilibrium(
         if residual > tol:
             # the entries run from the middle out; for odd N the first is the middle
             # site's, zero by symmetry up to roundoff, and the step leaves it out
-            step = np.linalg.solve(_parity.odd_block(hess), -grad_scale * grad[n % 2 :])
+            try:
+                step = np.linalg.solve(_parity.odd_block(hess), -grad_scale * grad[n % 2 :])
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(
+                    f"{_point(spec)}: Newton step met a singular curvature block in iteration {iteration} "
+                    f"(gradient max-norm {residual:.3g}, tol {tol:g})"
+                ) from exc
             # a refused full step at the rounding floor stops the solve here; otherwise the step is halved
             accepted = _descend(spec, half, step, residual, range(1))
             if accepted is None and not _at_rounding_floor(spec, half, hess, residual, grad_scale):
@@ -466,7 +465,7 @@ def solve_equilibrium(
                 halvings += step_halvings
                 continue
         _check_minimum(spec, hess)
-        config = Configuration(_parity.unfold(half, n), kind, residual, iteration - 1, halvings)
+        config = Configuration(_parity.unfold(half, n), residual, iteration - 1, halvings)
         hess.flags.writeable = False
         object.__setattr__(config, "_curvature", (spec, hess))
         return config

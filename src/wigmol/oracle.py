@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import ALPHA, BETA, Configuration, _virial_scaled, lattice_guess
+from . import _parity
+from .equilibrium import Configuration, _virial_scaled, lattice_guess
 from .errors import DimensionTooLarge, NoConvergence, UnsupportedLimit
 from .modes import NormalModes, ground_state_precision
 from .potential import SystemSpec, potential_gradient
@@ -396,10 +397,8 @@ def independent_minimum(spec: SystemSpec) -> Configuration:
         raise NoConvergence("coordinate descent did not settle within 400 sweeps")
     half = _parabolic_sweeps(spec, half, 1e-5, 300, 1e-11)
     half = _parabolic_sweeps(spec, half, 3e-6, 100, 1e-11)
-    positions = np.concatenate((-half[::-1], np.zeros(n % 2), half))
-    residual = float(np.max(np.abs(potential_gradient(spec, positions))))
-    kind = ALPHA if spec.interaction.is_log_limit else BETA
-    return Configuration(positions, kind, residual)
+    positions = _parity.unfold(half, n)
+    return Configuration(positions, float(np.max(np.abs(potential_gradient(spec, positions)))))
 
 
 def _node_pair_matrix(a: float, b: float) -> np.ndarray:

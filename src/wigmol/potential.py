@@ -90,30 +90,22 @@ class SystemSpec:
             raise ValueError("at least two particles are needed for a pair repulsion")
 
 
-def _reject_hard_core(spec: SystemSpec):
-    if spec.interaction.is_hard_core:
-        raise UnsupportedLimit("the hard-core limit has no smooth potential")
-
-
 def _checked(spec: SystemSpec, positions) -> np.ndarray:
     """Positions as a float vector, rejecting the hard core, a wrong shape and coincident pairs."""
-    _reject_hard_core(spec)
+    if spec.interaction.is_hard_core:
+        raise UnsupportedLimit("the hard-core limit has no smooth potential")
     pos = np.atleast_1d(np.asarray(positions, dtype=float))
     n = spec.n_particles
     if pos.shape != (n,):
         raise ValueError(f"expected {n} positions, got shape {pos.shape}")
-    # strictly increasing input is distinct as it stands; anything else
-    # (unordered, NaN, repeated infinities) is sorted and its neighbours compared
-    if not (pos[1:] > pos[:-1]).all():
-        ordered = np.sort(pos)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise CoincidentPositions("two particles share the same position")
+    ordered = np.sort(pos)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise CoincidentPositions("two particles share the same position")
     return pos
 
 
-@functools.lru_cache(maxsize=32)
 def _pair_mask(n: int) -> np.ndarray:
-    """Read-only i < j mask of an n-by-n pair matrix, built once per size.
+    """Read-only i < j mask of an n-by-n pair matrix.
 
     ``~tri`` keeps the row-major pair order of ``triu_indices(n, k=1)``.
     """

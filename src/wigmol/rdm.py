@@ -112,10 +112,6 @@ class KernelSet(Sequence):
         k = range(len(self))[operator.index(index)]
         return SiteKernel(k + 1, *(float(getattr(self, name)[k]) for name in _KERNEL_ARRAYS))
 
-    def __iter__(self):
-        rows = zip(*(getattr(self, name).tolist() for name in _KERNEL_ARRAYS))
-        return (SiteKernel(site, *row) for site, row in enumerate(rows, start=1))
-
 
 def _scalar_power(values: np.ndarray, exponent: float) -> np.ndarray:
     """``values**exponent`` in Python floats, as per-site formulas take it; numpy's array power

@@ -72,10 +72,10 @@ def kernel_checks() -> list[Check]:
         worst = 0.0
         for kernel in molecule.kernels:
             grid = np.linspace(kernel.center - 3 * kernel.width, kernel.center + 3 * kernel.width, 9)
-            for x in grid:
-                for xp in grid:
-                    direct = oracle.quadrature_kernel(molecule.modes, molecule.config, kernel.site, x, xp)
-                    worst = max(worst, abs(direct - float(rdm.kernel_value(kernel, x, xp))))
+            direct = [[oracle.quadrature_kernel(molecule.modes, molecule.config, kernel.site, x, xp) for xp in grid]
+                      for x in grid]
+            closed_form = rdm.kernel_value(kernel, grid[:, None], grid[None, :])
+            worst = max(worst, float(np.abs(np.array(direct) - closed_form).max()))
         checks.append(_bounded(f"kernel quadrature N={n} d={d:g}", worst, 1e-6))
 
         worst_nystrom = 0.0
@@ -86,10 +86,10 @@ def kernel_checks() -> list[Check]:
             worst_nystrom = max(worst_nystrom, float(np.max(np.abs(top - ladder))))
         checks.append(_bounded(f"nystrom ladder N={n} d={d:g}", worst_nystrom, 1e-5))
 
-        worst_momentum = 0.0
-        for k in np.linspace(-8.0, 8.0, 17):
-            analytic = float(observables.momentum_distribution(molecule.kernels, [k]).values[0])
-            worst_momentum = max(worst_momentum, abs(analytic - oracle.momentum_quadrature(molecule.kernels, k)))
+        momenta = np.linspace(-8.0, 8.0, 17)
+        analytic = observables.momentum_distribution(molecule.kernels, momenta).values
+        quadrature = np.array([oracle.momentum_quadrature(molecule.kernels, k) for k in momenta])
+        worst_momentum = float(np.abs(analytic - quadrature).max())
         checks.append(_bounded(f"momentum quadrature N={n} d={d:g}", worst_momentum, 1e-6))
     return checks
 

@@ -304,11 +304,24 @@ def test_solver_failure_names_its_state(capsys):
 
 
 def test_singular_newton_step_exits_3(capsys):
-    # numpy's LinAlgError is a ValueError, yet a numerical failure rather than a bad request
+    # the solver turns numpy's LinAlgError into a NoConvergence that names its point
     status, out, err = run(["equilibrium", "--n", "10", "--d", "1e15", "--tol", "1e-6"], capsys)
     assert status == 3
     assert out == ""
-    assert err == "numerical failure: Singular matrix\n"
+    assert err.startswith("numerical failure: N=10, d=1e+15: Newton step met a singular curvature block")
+    assert "in iteration 1 (gradient max-norm" in err
+
+
+def test_eigensolver_failure_exits_3(monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, yet a numerical failure rather than a bad request
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    status, out, err = run(["modes", "--n", "5", "--d", "1"], capsys)
+    assert status == 3
+    assert out == ""
+    assert err == "numerical failure: Eigenvalues did not converge\n"
 
 
 @pytest.mark.parametrize("command", ["equilibrium", "modes"])

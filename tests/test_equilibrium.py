@@ -17,7 +17,7 @@ from wigmol import (
     solve_equilibrium,
 )
 from wigmol import _parity, potential
-from wigmol.equilibrium import ALPHA, BETA, DEFAULT_TOL, LATTICE
+from wigmol.equilibrium import DEFAULT_TOL
 from wigmol.errors import DegenerateHessian, InvalidScale, NoConvergence
 
 
@@ -25,7 +25,6 @@ def test_lattice_guess_values():
     assert_allclose(lattice_guess(2).positions, [-0.5, 0.5])
     assert_allclose(lattice_guess(3).positions, [-1.0, 0.0, 1.0])
     assert_allclose(lattice_guess(5).positions, [-2.0, -1.0, 0.0, 1.0, 2.0])
-    assert lattice_guess(3).coordinate_kind == LATTICE
     assert lattice_guess(3).residual == 0.0
 
 
@@ -37,7 +36,6 @@ def test_two_particle_power_law_closed_form():
 def test_two_particle_log_closed_form():
     _, config = solved(2, "log")
     assert_allclose(config.positions, [-np.sqrt(2.0) / 2.0, np.sqrt(2.0) / 2.0], atol=1e-12)
-    assert config.coordinate_kind == ALPHA
 
 
 @pytest.mark.parametrize("d", [0.3, 0.5, 1.0, 2.0, 4.5, 6.0, 25.0])
@@ -100,14 +98,12 @@ def test_invariants_of_solution(token, n):
     assert_allclose(config.positions, -config.positions[::-1], atol=1e-10)
     if n % 2:
         assert abs(config.positions[n // 2]) < 1e-10
-    assert config.coordinate_kind == (ALPHA if token == "log" else BETA)
 
 
 def test_hard_core_returns_lattice():
     spec = SystemSpec(7, Interaction.hard_core())
     config = solve_equilibrium(spec)
     assert_allclose(config.positions, lattice_guess(7).positions)
-    assert config.coordinate_kind == LATTICE
 
 
 def test_no_convergence_raises():
@@ -190,7 +186,7 @@ def test_solver_settings_are_checked_before_solving(token, settings):
 
 
 def test_solver_settings_at_their_bounds_are_valid():
-    assert solve_equilibrium(SystemSpec(4, Interaction.hard_core()), tol=0.0, max_iter=1).coordinate_kind == LATTICE
+    assert solve_equilibrium(SystemSpec(4, Interaction.hard_core()), tol=0.0, max_iter=1).residual == 0.0
     # N = 2 starts at its minimum, so one iteration is enough
     assert solve_equilibrium(SystemSpec(2, Interaction.power_law(2.0)), max_iter=1).iterations == 0
 
@@ -349,11 +345,11 @@ def test_solved_chain_approaches_the_continuum_profile(d):
     assert distances[0] > distances[1] > distances[2]
 
 
-# (78, 6) is solved to 1e-11: the default tol lies below its floating-point floor
+# every point at the default tol, which each solve reaches or stops at its floating-point floor
 @pytest.mark.parametrize(
     "n, token, tol",
-    [(n, token, 1e-11 if (n, token) == (78, 6.0) else 1e-12) for n in (2, 3, 31, 78) for token in ("log", 0.5, 1.0, 2.0, 6.0)]
-    + [(300, "log", 1e-12)],
+    [(n, token, DEFAULT_TOL) for n in (2, 3, 31, 78) for token in ("log", 0.5, 1.0, 2.0, 6.0)]
+    + [(300, "log", DEFAULT_TOL)],
 )
 def test_every_curvature_row_has_margin_one(n, token, tol):
     # the trap plus a Laplacian with non-negative weights: each margin is exactly 1 before rounding

@@ -113,7 +113,7 @@ def test_parity_blocks_carry_the_full_spectrum(n):
 def test_negative_curvature_names_its_point(monkeypatch, n, token, label):
     spec, config = solved(n, token)
     # a hand-built copy keeps no curvature rows from the solve, so compute_modes makes the patched pass
-    config = Configuration(config.positions, config.coordinate_kind, config.residual)
+    config = Configuration(config.positions, config.residual)
     grad, hess = modes_module._gradient_and_hessian(spec, config.positions)
 
     def refuse(*args):
@@ -169,7 +169,7 @@ def test_closed_form_modes_at_a_thousand_sites():
     # the default solve does not reach N = 1000, but the Hermite zeros are its minimum
     n = 1000
     zeros = equilibrium._hermite_zeros(n)
-    config = Configuration(np.concatenate((-zeros[::-1], zeros)), equilibrium.ALPHA, 0.0)
+    config = Configuration(np.concatenate((-zeros[::-1], zeros)), 0.0)
     spec = SystemSpec(n, Interaction.log_limit())
     modes = compute_modes(spec, config)
     rows, freqs = modes.mode_matrix, modes.frequencies
@@ -185,7 +185,7 @@ def test_closed_form_modes_at_a_thousand_sites():
 def test_a_displaced_chain_falls_back_to_eigh(monkeypatch, n, token):
     spec, config = solved(n, token)
     half = np.random.default_rng(n).standard_normal(n // 2)
-    moved = Configuration(config.positions + 1e-9 * _parity.unfold(half, n), config.coordinate_kind, 0.0)
+    moved = Configuration(config.positions + 1e-9 * _parity.unfold(half, n), 0.0)
     modes = compute_modes(spec, moved)
     reference = _eigh_modes(monkeypatch, spec, moved)
     assert np.array_equal(modes.frequencies, reference.frequencies)
@@ -259,7 +259,7 @@ def _count_landscape_passes(monkeypatch):
 
 
 def _hand_built(config):
-    return Configuration(config.positions, config.coordinate_kind, config.residual)
+    return Configuration(config.positions, config.residual)
 
 
 # d = 6 is left out from N = 39 on, where the default solve stops at the rounding floor

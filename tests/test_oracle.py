@@ -437,7 +437,7 @@ def test_amplitude_memo_is_bitwise_on_the_verify_grid():
 
 def test_amplitude_memo_is_keyed_on_the_offset_from_the_center():
     _, config, modes, _ = kernel_set(3, 1.0)
-    shifted = Configuration(config.positions + 0.25, config.coordinate_kind, config.residual)
+    shifted = Configuration(config.positions + 0.25, config.residual)
     values = []
     for positions in (config, shifted, config):
         values.append(quadrature_kernel(modes, positions, 2, 0.1, -0.2))

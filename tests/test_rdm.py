@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from conftest import kernel_set, solved
 from wigmol import (
-    Configuration,
     Interaction,
     KernelSet,
     Molecule,
@@ -29,7 +28,7 @@ from wigmol import (
     site_purity,
     solve_equilibrium,
 )
-from wigmol import equilibrium, rdm
+from wigmol import rdm
 from wigmol.errors import NoConvergence, SingularBlock, UnsupportedLimit
 
 
@@ -98,8 +97,7 @@ def _parameters(kernel):
 @pytest.mark.parametrize("token", ["log", 0.5, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 8, 40, 150])
 def test_closed_form_kernels_match_schur_solve(token, n):
-    # the default tolerance sits below the gradient's floating-point floor at N = 150, d = 2
-    spec, config = solved(n, token, 1e-12 if n <= 40 else 1e-11)
+    spec, config = solved(n, token)
     modes = compute_modes(spec, config)
     reference = _schur_reference(modes, n)
     kernels = all_site_kernels(modes, config)
@@ -499,21 +497,11 @@ def _kernels_over_every_column(modes, config):
     return KernelSet(config.positions, *rdm._kernel_parameters(*rdm._precision_diagonals(modes, slice(None)), n, 1))
 
 
-def _hermite_chain(n):
-    # the zeros of H_N are the d = 2 minimum, which the default solve misses above N = 78
-    zeros = equilibrium._golub_welsch_zeros(n)
-    return Configuration(np.concatenate((-zeros[::-1], np.zeros(n % 2), zeros)), equilibrium.BETA, 0.0)
-
-
 @pytest.mark.parametrize("token", ["log", 0.5, 2.0])
 @pytest.mark.parametrize("n", [2, 3, 30, 31, 400, 401])
 def test_half_chain_kernels_are_bitwise_those_of_every_column(token, n):
     spec = SystemSpec(n, Interaction.from_token(token))
-    if token == 2.0 and n > 78:
-        config = _hermite_chain(n)
-    else:
-        # the default tol sits below the floor of the d = 0.5 solve at N = 400
-        config = solve_equilibrium(spec, tol=1e-11)
+    config = solve_equilibrium(spec)
     modes = compute_modes(spec, config)
     assert modes._mirrored
     kernels = all_site_kernels(modes, config)
