@@ -23,10 +23,6 @@ from .modes import NormalModes, ground_state_precision
 from .potential import SystemSpec, potential_gradient
 from .rdm import KernelSet
 
-# the golden-section fraction (3 - sqrt 5)/2 of Brent's method
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Hermite order per dimension of the tensor rule."""
@@ -240,56 +236,6 @@ def nystrom_occupancies(kernel_evaluator, grid, top_k: int) -> np.ndarray:
     return occupancies
 
 
-def _brent_minimum(func, lo: float, hi: float, xtol: float) -> float:
-    """Minimum of a unimodal ``func`` on [lo, hi] by Brent's method, to within ``xtol / 2``.
-
-    Each step fits a parabola through the three best points and takes its
-    vertex when it falls inside the bracket and moves less than half the
-    step before last; otherwise it takes a golden-section step into the
-    larger part of the bracket (R. P. Brent, *Algorithms for Minimization
-    without Derivatives*, 1973, ch. 5).  No probe lies within ``xtol / 4``
-    of the best point or of a bracket end, and the search stops once the
-    best point lies within ``xtol / 2`` of both ends.  An infinite value
-    makes the parabola NaN, which fails its tests, so such steps are
-    golden.
-    """
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN_STEP * (b - a)
-    fx = fw = fv = func(x)
-    step = previous = 0.0
-    tol = 0.25 * xtol
-    while max(x - a, b - x) > 2.0 * tol:
-        golden = True
-        if abs(previous) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * previous) and q * (a - x) < p < q * (b - x):
-                previous, step = step, p / q
-                golden = False
-                if x + step - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
-                    step = tol if x < 0.5 * (a + b) else -tol
-        if golden:
-            previous = a - x if x >= 0.5 * (a + b) else b - x
-            step = _GOLDEN_STEP * previous
-        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
-        fu = func(u)
-        if fu <= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x
-
-
 def _line_energy(spec: SystemSpec, half: np.ndarray, k: int):
     """The landscape terms that move with right-half site ``k``, as a function of its coordinate.
 
@@ -320,32 +266,39 @@ def _line_energy(spec: SystemSpec, half: np.ndarray, k: int):
     return energy
 
 
-def _parabolic_sweeps(spec, half, step, max_sweeps, move_tol):
-    """Cyclic parabolic-fit moves, ``-step (f+ - f-) / (2 (f+ - 2 f0 + f-))`` per coordinate.
+def _parabolic_sweeps(spec, half, step, max_sweeps, move_tol) -> bool:
+    """Cyclic parabolic-fit moves, ``-step (f+ - f-) / (2 (f+ - 2 f0 + f-))`` per coordinate, in place.
 
-    A phase stops once no coordinate moves by more than the larger of
-    ``move_tol`` and its move's noise floor.  Each probe sums O(N) terms,
-    so it rounds by about N eps max(|f0|, |f+|, |f-|); that rounding in
-    ``f+ - f-`` resolves the move only to ``step N eps max|f| / denom``,
-    and sweeping on below it only stirs the noise.
+    A site moves only when its three probes are finite and their
+    curvature ``f+ - 2 f0 + f-`` is positive, and then at most halfway to
+    each neighbour: to the inner one, or to 0 for the innermost site, and
+    to the outer one, with no bound for the outermost.  So the chain
+    stays positive and ordered without a bracket.  Returns whether a sweep
+    settled, that is, moved no coordinate by more than the larger of
+    ``move_tol`` and its move's noise floor, within ``max_sweeps``.
+    Each probe sums O(N) terms, so it rounds by about
+    N eps max(|f0|, |f+|, |f-|); that rounding in ``f+ - f-`` resolves the
+    move only to ``step N eps max|f| / denom``, and sweeping on below it
+    only stirs the noise.
     """
     noise = spec.n_particles * np.finfo(float).eps * step
     for _ in range(max_sweeps):
         settled = True
         for k in range(half.size):
             line = _line_energy(spec, half, k)
-            f0 = line(half[k])
-            f_plus = line(half[k] + step)
-            f_minus = line(half[k] - step)
+            c = float(half[k])
+            f0, f_plus, f_minus = line(c), line(c + step), line(c - step)
             denom = f_plus - 2.0 * f0 + f_minus
-            if denom > 0:
-                delta = -0.5 * step * (f_plus - f_minus) / denom
-                half[k] += delta
+            if math.isfinite(f0) and math.isfinite(f_plus) and math.isfinite(f_minus) and denom > 0:
+                lo = half[k - 1] if k > 0 else 0.0
+                hi = half[k + 1] if k + 1 < half.size else math.inf
+                delta = min(max(-0.5 * step * (f_plus - f_minus) / denom, 0.5 * (lo - c)), 0.5 * (hi - c))
+                half[k] = c + delta
                 floor = noise * max(abs(f0), abs(f_plus), abs(f_minus)) / denom
                 settled = settled and abs(delta) <= max(move_tol, floor)
         if settled:
-            break
-    return half
+            return True
+    return False
 
 
 def independent_minimum(spec: SystemSpec) -> Configuration:
@@ -354,13 +307,14 @@ def independent_minimum(spec: SystemSpec) -> Configuration:
     Starts from the unit lattice scaled along its own ray onto the
     landscape's minimum: ``s**(d + 2) = d S / X`` for a power law, with X
     the sum of squared positions and S that of ``sep**-d``, and
-    ``s**2 = N (N - 1) / (2 X)`` in the log limit.  Then cyclic Brent line
-    searches per coordinate (:func:`_brent_minimum`, to 1e-7 per
-    coordinate) until no coordinate moves by 1e-6, followed by
-    parabolic-fit polish sweeps that settle once no coordinate moves by
-    more than 1e-11 or the noise floor of its move, despite working from
-    function values only (:func:`_parabolic_sweeps`).  Meant for
-    cross-checking the Newton solver at small N.
+    ``s**2 = N (N - 1) / (2 X)`` in the log limit.  From there two phases
+    of parabolic-fit sweeps (:func:`_parabolic_sweeps`) work from function
+    values only: probes 1e-5 apart until a sweep settles, that is, moves
+    no coordinate by more than 1e-11 or the noise floor of its move
+    (NoConvergence after 400 sweeps), then probes 3e-6 apart for at most
+    100 more sweeps.  Each move is clamped to halfway toward the site's
+    neighbours, so the search needs no bracket.  Meant for cross-checking
+    the Newton solver at small N.
 
     Only the N//2 right-half coordinates are searched; the left half is
     their mirror image and the middle site of an odd chain sits at zero.
@@ -382,21 +336,9 @@ def independent_minimum(spec: SystemSpec) -> Configuration:
         half = half * math.sqrt(n * (n - 1) / (4.0 * float((half**2).sum())))
     else:
         half = _virial_scaled(half, n, spec.interaction.d)
-    for sweep in range(400):
-        moved = 0.0
-        for k in range(m):
-            # the first right-half site only has to stay right of its mirror (or the middle site)
-            lo = half[k - 1] + 1e-9 if k > 0 else 1e-9
-            hi = half[k + 1] - 1e-9 if k < m - 1 else half[k] + 3.0
-            best = _brent_minimum(_line_energy(spec, half, k), lo, hi, 1e-7)
-            moved = max(moved, abs(best - half[k]))
-            half[k] = best
-        if moved < 1e-6:
-            break
-    else:
+    if not _parabolic_sweeps(spec, half, 1e-5, 400, 1e-11):
         raise NoConvergence("coordinate descent did not settle within 400 sweeps")
-    half = _parabolic_sweeps(spec, half, 1e-5, 300, 1e-11)
-    half = _parabolic_sweeps(spec, half, 3e-6, 100, 1e-11)
+    _parabolic_sweeps(spec, half, 3e-6, 100, 1e-11)
     positions = _parity.unfold(half, n)
     return Configuration(positions, float(np.max(np.abs(potential_gradient(spec, positions)))))
 

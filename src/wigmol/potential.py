@@ -104,23 +104,13 @@ def _checked(spec: SystemSpec, positions) -> np.ndarray:
     return pos
 
 
-def _pair_mask(n: int) -> np.ndarray:
-    """Read-only i < j mask of an n-by-n pair matrix.
-
-    ``~tri`` keeps the row-major pair order of ``triu_indices(n, k=1)``.
-    """
-    mask = ~np.tri(n, dtype=bool)
-    mask.flags.writeable = False
-    return mask
-
-
 @functools.lru_cache(maxsize=32)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only index arrays (i, j) of the n(n - 1)/2 pairs i < j, built once per size.
 
-    They list the pairs in the row-major order of :func:`_pair_mask`.
+    They list the pairs in row-major order, that of ``triu_indices(n, k=1)``.
     """
-    pairs = np.nonzero(_pair_mask(n))
+    pairs = np.nonzero(~np.tri(n, dtype=bool))
     for index in pairs:
         index.flags.writeable = False
     return pairs

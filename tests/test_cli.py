@@ -326,7 +326,8 @@ def test_eigensolver_failure_exits_3(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["equilibrium", "modes"])
 def test_non_finite_curvature_exits_3(command, capsys):
-    # d * (d + 1) overflows, so every curvature row is NaN; no numpy warning may reach the user
+    # the lattice separations round to exactly 1, so each neighbour coupling d (d + 1) is inf;
+    # no numpy warning may reach the user
     status, out, err = run([command, "--n", "10", "--d", "1e300", "--tol", "inf"], capsys)
     assert status == 3
     assert out == ""

@@ -389,7 +389,8 @@ def test_certificate_refuses_nan_and_rounding_swamped_curvature():
     ],
 )
 def test_swamped_or_non_finite_curvature_fails_the_solve(n, d, tol, message):
-    # couplings that grow like d drown the trap's margin of 1 in rounding; at d = 1e300 they are inf times 0
+    # couplings that grow like d drown the trap's margin of 1 in rounding; at d = 1e300 the lattice
+    # separations round to exactly 1, so the coupling itself is inf
     with pytest.raises(DegenerateHessian, match=message):
         solve_equilibrium(SystemSpec(n, Interaction.power_law(d)), tol=tol)
 

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -112,8 +111,8 @@ def test_each_gauss_hermite_rule_is_built_once(hermgauss_builds):
     assert hermgauss_builds == {40: 1, 20: 1, 60: 1}
 
 
-def test_cached_rules_and_pair_mask_are_read_only():
-    arrays = [*oracle._hermite_rule(40), *oracle._tensor_rule(40, 2), potential._pair_mask(5)]
+def test_cached_rules_and_pair_indices_are_read_only():
+    arrays = [*oracle._hermite_rule(40), *oracle._tensor_rule(40, 2), *potential._pair_indices(5)]
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 0
@@ -165,7 +164,8 @@ def test_potential_value_is_bitwise_the_tri_gather(n, token):
         else:
             expected = float(0.5 * (pos**2).sum() + (pairs ** (-spec.interaction.d)).sum())
         assert potential_value(spec, pos) == expected
-    assert np.array_equal(potential._pair_mask(n), ~np.tri(n, dtype=bool))
+    for index, expected in zip(potential._pair_indices(n), np.triu_indices(n, k=1)):
+        assert np.array_equal(index, expected)
 
 
 def test_nystrom_recovers_the_ladder():
@@ -373,7 +373,7 @@ def test_line_energy_moves_like_the_whole_landscape(n, token):
 
 def test_independent_minimum_evaluates_no_whole_landscape(monkeypatch):
     def whole_landscape(spec, positions):
-        raise AssertionError("the golden-section search evaluated the whole landscape")
+        raise AssertionError("the derivative-free search evaluated the whole landscape")
 
     monkeypatch.setattr(potential, "potential_value", whole_landscape)
     monkeypatch.setattr(oracle, "potential_value", whole_landscape, raising=False)
@@ -402,6 +402,33 @@ def test_independent_minimum_at_large_d_raises_nothing(n, d):
 def test_overflowing_probe_is_infinite():
     spec = SystemSpec(3, Interaction.power_law(400.0))
     assert oracle._line_energy(spec, np.array([1.0]), 0)(1e-9) == np.inf
+
+
+def test_parabolic_sweeps_clamp_moves_that_would_cross_a_neighbour():
+    spec, newton = solved(6, 6.0)
+    start = np.array([1.0, 5.0, 10.0])
+    # the trap pulls the parabolic vertex of right-half site 1 past site 0
+    line = oracle._line_energy(spec, start, 1)
+    f0, f_plus, f_minus = line(5.0), line(5.0 + 1e-5), line(5.0 - 1e-5)
+    assert 5.0 - 0.5e-5 * (f_plus - f_minus) / (f_plus - 2.0 * f0 + f_minus) < start[0]
+
+    half = start.copy()
+    oracle._parabolic_sweeps(spec, half, 1e-5, 1, 1e-11)
+    assert half[0] > 0 and np.all(np.diff(half) > 0)
+    assert oracle._parabolic_sweeps(spec, half, 1e-5, 400, 1e-11)
+    assert np.max(np.abs(half - newton.positions[3:])) <= 1e-8
+    assert np.max(np.abs(independent_minimum(spec).positions - newton.positions)) <= 1e-8
+
+
+def test_parabolic_sweeps_skip_a_site_with_an_infinite_probe():
+    spec = SystemSpec(3, Interaction.power_law(400.0))
+    half = np.array([0.171])
+    line = oracle._line_energy(spec, half, 0)
+    assert np.isfinite(line(0.171)) and np.isfinite(line(0.171 + 2e-3)) and line(0.171 - 2e-3) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle._parabolic_sweeps(spec, half, 2e-3, 1, 1e-11)
+    assert half.tolist() == [0.171]
 
 
 def test_quadrature_rule_memo_is_bitwise_the_uncached_integral():
@@ -481,33 +508,6 @@ def test_split_cosine_momentum_matches_the_meshgrid_integral(n, token):
         assert momentum_quadrature(list(kernels), k) == momentum_quadrature(kernels, k)
 
 
-@pytest.mark.parametrize(
-    "func, lo, hi, minimum",
-    [
-        (lambda x: (x - 0.3) ** 2, 0.0, 1.0, 0.3),
-        (lambda x: math.cosh(x - 2.0) + (x - 2.0) ** 4, -1.0, 5.0, 2.0),
-        (lambda x: math.inf if x < 0.2 else x + 1.0 / x, 0.0, 3.0, 1.0),
-        (lambda x: x, 0.0, 1.0, 0.0),
-    ],
-    ids=["parabola", "smooth", "infinite-part", "monotone"],
-)
-def test_brent_minimum_lands_within_half_xtol(func, lo, hi, minimum):
-    for xtol in (1e-3, 1e-7):
-        assert abs(oracle._brent_minimum(func, lo, hi, xtol) - minimum) <= xtol / 2
-
-
-def test_brent_minimum_interpolates_where_golden_section_would_not():
-    # golden section needs about 34 probes to shrink [0, 1] to 1e-7
-    probes = []
-
-    def smooth(x):
-        probes.append(x)
-        return (x - 0.3) ** 2 + (x - 0.3) ** 4
-
-    assert abs(oracle._brent_minimum(smooth, 0.0, 1.0, 1e-7) - 0.3) <= 5e-8
-    assert len(probes) <= 15
-
-
 @pytest.mark.parametrize("n, d", [(4, 0.7), (5, 1.9), (6, 2.0), (7, 0.5)])
 def test_polish_phases_stop_at_their_noise_floor(monkeypatch, n, d):
     # here a phase that stops on a 1e-11 move alone can sweep on in the rounding noise of its probes
@@ -538,8 +538,8 @@ def test_polish_phases_stop_at_their_noise_floor(monkeypatch, n, d):
 
 
 def test_cross_solver_checks_spend_few_probes(monkeypatch):
-    # about 6,000 probes; golden-section searches from the unscaled lattice, polished until
-    # no move exceeds 1e-11, take about 24,000
+    # about 2,700 probes; Brent line searches before the parabolic sweeps took about 6,000,
+    # and golden-section searches from the unscaled lattice about 24,000
     probes = [0]
     line_energy = oracle._line_energy
 
@@ -555,7 +555,7 @@ def test_cross_solver_checks_spend_few_probes(monkeypatch):
     monkeypatch.setattr(oracle, "_line_energy", counted)
     checks = verification.cross_solver_checks()
     assert all(check.metric <= 1e-9 for check in checks)
-    assert probes[0] <= 8000
+    assert probes[0] <= 3500
 
 
 def test_momentum_pair_matrices_are_built_once_per_kernel_set(monkeypatch):
