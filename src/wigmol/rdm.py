@@ -276,17 +276,14 @@ def site_density(kernel: SiteKernel, x) -> np.ndarray:
 def natural_orbital(kernel: SiteKernel, l: int, x) -> np.ndarray:
     """Hermite-Gaussian eigenfunction u_l of the kernel, evaluated at x.
 
-    Uses the stable two-term recurrence for orthonormal oscillator
-    functions, so large l does not overflow.
+    Runs the stable two-term recurrence for orthonormal oscillator functions
+    l times up from psi_-1 = 0 and the Gaussian psi_0, so large l does not overflow.
     """
     if l < 0:
         raise ValueError("the orbital index l must be non-negative")
     xi = np.sqrt(kernel.eta) * (np.asarray(x, dtype=float) - kernel.center)
-    previous = np.pi**-0.25 * np.exp(-0.5 * xi**2)
-    if l == 0:
-        return kernel.eta**0.25 * previous
-    current = np.sqrt(2.0) * xi * previous
-    for k in range(1, l):
+    previous, current = 0.0, np.pi**-0.25 * np.exp(-0.5 * xi**2)
+    for k in range(l):
         current, previous = xi * np.sqrt(2.0 / (k + 1)) * current - np.sqrt(k / (k + 1)) * previous, current
     return kernel.eta**0.25 * current
 
@@ -300,12 +297,14 @@ def leading_occupancy(kernel: SiteKernel | KernelSet) -> float | np.ndarray:
 
 def occupancy(kernel: SiteKernel, l: int) -> float:
     """l-th rung of the geometric occupancy ladder of one site."""
+    if l < 0:
+        raise ValueError("the orbital index l must be non-negative")
     return leading_occupancy(kernel) * kernel.y**l
 
 
-def site_purity(kernel: SiteKernel) -> float:
-    """Closed-form sum of squared occupancies of one site: A**2 * pi / eta."""
-    return float(kernel.amplitude**2 * np.pi / kernel.eta)
+def site_purity(kernel: SiteKernel | KernelSet) -> float | np.ndarray:
+    """Closed-form sum of squared occupancies, A * A * pi / eta; elementwise for a :class:`KernelSet`."""
+    return kernel.amplitude * kernel.amplitude * np.pi / kernel.eta
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,25 +335,19 @@ class OccupancySpectrum:
         with np.errstate(divide="ignore", invalid="ignore"):
             rungs = np.ceil(np.log(target) / np.log(y)) - 1.0
         l_max = np.where(y < target, 0, np.clip(rungs, 0, _LADDER_CAP)).astype(int)
-        # each ladder is the running product of lam0 and l_max copies of y, one
-        # block per distinct l_max; the product runs along each row in turn, so
-        # every rung is exactly the previous one times y, even in floating point
-        ladders = [None] * y.size
-        last = np.empty(y.size)
-        # a set, not np.unique, whose first call imports numpy.ma (about 15 ms and 1 MB)
-        for length in set(l_max.tolist()):
-            sites = np.flatnonzero(l_max == length)
-            block = np.empty((sites.size, length + 1))
-            block[:, 0] = lam0[sites]
-            block[:, 1:] = y[sites, None]
-            np.cumprod(block, axis=1, out=block)
-            block.flags.writeable = False
-            last[sites] = block[:, -1]
-            for site, ladder in zip(sites.tolist(), block):
-                ladders[site] = ladder
+        # every ladder is a row of one running product: lam0 and then copies of
+        # y, multiplied along the row, so every rung is exactly the previous one
+        # times y, even in floating point; ladder i is row i's first l_max_i + 1
+        block = np.empty((y.size, l_max.max() + 1))
+        block[:, 0] = lam0
+        block[:, 1:] = y[:, None]
+        np.cumprod(block, axis=1, out=block)
+        block.flags.writeable = False
+        ladders = tuple(row[: length + 1] for row, length in zip(block, l_max.tolist()))
+        last = block[np.arange(y.size), l_max]
         tails = last * y / (1.0 - y)
         tails.flags.writeable = False
-        return tuple(ladders), tails
+        return ladders, tails
 
     @property
     def ladders(self) -> tuple[np.ndarray, ...]:
@@ -388,7 +381,7 @@ def occupancy_spectrum(kernels, tail_tol: float = DEFAULT_TAIL_TOL) -> Occupancy
         raise ValueError(f"tail_tol must be non-negative, got {tail_tol!r}")
     kernels = KernelSet.from_kernels(kernels)
     n = len(kernels)
-    purity = sum((kernels.amplitude**2 * np.pi / kernels.eta).tolist())
+    purity = sum(site_purity(kernels).tolist())
     degree = 1.0 / purity
     return OccupancySpectrum(purity, degree, (degree - n) / n, kernels, tail_tol)
 

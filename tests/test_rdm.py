@@ -332,6 +332,23 @@ def test_site_purity_closed_form():
         assert_allclose(site_purity(kernel), float(np.sum(ladder**2)), rtol=1e-12)
 
 
+@pytest.mark.parametrize("token", ["log", 0.5, 1.0, 2.0, 6.0])
+@pytest.mark.parametrize("n", [2, 3, 9, 40, 80])
+def test_site_purity_of_a_set_is_each_sites_value_and_sums_to_the_spectrum_purity(token, n):
+    _, _, _, kernels = kernel_set(n, token)
+    purities = site_purity(kernels)
+    assert isinstance(purities, np.ndarray) and purities.shape == (n,)
+    assert purities.tolist() == [site_purity(kernel) for kernel in kernels]
+    assert sum(purities.tolist()) == occupancy_spectrum(kernels).purity
+
+
+@pytest.mark.parametrize("l", [-1, -3])
+def test_occupancy_refuses_a_negative_index_as_natural_orbital_does(l):
+    _, _, _, kernels = kernel_set(3, 1.0)
+    with pytest.raises(ValueError, match="the orbital index l must be non-negative"):
+        occupancy(kernels[0], l)
+
+
 def test_ladders_are_running_products_per_site():
     # sites with several distinct ladder lengths, one of them a bare l_max = 0
     _, _, _, kernels = kernel_set(6, 1.0)
